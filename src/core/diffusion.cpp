@@ -138,34 +138,37 @@ Tensor UNet::forward(const Tensor& z_t, const std::vector<int>& t,
   return conv_out_(silu(norm_out_(hu)));
 }
 
-plan::TensorId UNet::capture(plan::GraphBuilder& g, plan::TensorId z_t, int n,
-                             int t, plan::TensorId c1, plan::TensorId c2,
-                             plan::TensorId s, plan::TensorId b) const {
-  if (cfg_.mid_attention) {
-    throw std::invalid_argument("UNet capture: mid_attention not supported");
-  }
-  // The timestep is fixed per captured step, so the embedding MLP and each
-  // block's temb projection are constants: fold them eagerly (the same ops
-  // the eager forward runs, hence bit-identical values).
+std::vector<Tensor> UNet::temb_biases(int rows, int t) const {
   NoGradGuard no_grad;
-  const std::vector<int> tvec(static_cast<size_t>(n), t);
+  const std::vector<int> tvec(static_cast<size_t>(rows), t);
   Tensor temb = timestep_embedding(tvec, cfg_.temb_dim);
   temb = temb2_(silu(temb1_(temb)));
   const Tensor st = silu(temb);
-  const auto temb_bias = [&](const ResBlock& rb) {
-    return g.constant(rb.temb_proj(st));
-  };
+  return {res_down_.temb_proj(st), res_mid1_.temb_proj(st),
+          res_mid2_.temb_proj(st), res_up_.temb_proj(st)};
+}
+
+plan::TensorId UNet::capture(plan::GraphBuilder& g, plan::TensorId z_t,
+                             plan::TensorId c1, plan::TensorId c2,
+                             plan::TensorId s, plan::TensorId b,
+                             const std::vector<plan::TensorId>& temb_bias)
+    const {
+  if (cfg_.mid_attention) {
+    throw std::invalid_argument("UNet capture: mid_attention not supported");
+  }
+  if (temb_bias.size() != 4) {
+    throw std::invalid_argument("UNet capture: expected 4 temb biases");
+  }
   const plan::TensorId h0 = g.add(conv_in_.capture(g, z_t), c1);
-  const plan::TensorId skip = res_down_.capture(g, h0, temb_bias(res_down_));
+  const plan::TensorId skip = res_down_.capture(g, h0, temb_bias[0]);
   const plan::TensorId hd = downsample_.capture(g, skip);
-  plan::TensorId hm =
-      g.add(res_mid1_.capture(g, hd, temb_bias(res_mid1_)), c2);
-  hm = res_mid2_.capture(g, hm, temb_bias(res_mid2_));
+  plan::TensorId hm = g.add(res_mid1_.capture(g, hd, temb_bias[1]), c2);
+  hm = res_mid2_.capture(g, hm, temb_bias[2]);
   plan::TensorId backbone = g.upsample2x(hm);
   if (s >= 0) backbone = g.mul_per_sample(backbone, s);
   const plan::TensorId skip_mod = b >= 0 ? g.mul_per_sample(skip, b) : skip;
   const plan::TensorId hu = res_up_.capture(
-      g, g.concat_channels(skip_mod, backbone), temb_bias(res_up_));
+      g, g.concat_channels(skip_mod, backbone), temb_bias[3]);
   return conv_out_.capture(g, g.silu(norm_out_.capture(g, hu)));
 }
 
@@ -246,23 +249,23 @@ Tensor eps_from_z0(const Tensor& z_t, const Tensor& z0,
   return sub(a, b);
 }
 
-// Eager sampler. Every iteration heap-allocates its temporaries (pred, z0,
-// eps, the two update terms); the planned path (capture_ddim below) places
-// the same values in precomputed plan-arena slices instead, so inference
-// through a Plan runs this loop with zero per-step allocations.
 Tensor ddim_sample(const UNet& unet, const DiffusionSchedule& sched,
                    const ControlModule::Features& ctrl, const Tensor& noise,
                    int steps, const Tensor& s, const Tensor& b,
                    Prediction prediction) {
-  return ddim_sample_checkpointed(unet, sched, ctrl, noise, steps, s, b,
-                                  prediction, DdimCheckpointFn());
+  // Reused across steps; only the (uniform) timestep value changes.
+  std::vector<int> tvec(static_cast<size_t>(noise.dim(0)));
+  const DdimDenoiser denoise = [&](const Tensor& z, int t) {
+    std::fill(tvec.begin(), tvec.end(), t);
+    return unet.forward(z, tvec, ctrl, s, b);
+  };
+  return ddim_sample_checkpointed(denoise, sched, noise, steps, prediction,
+                                  DdimCheckpointFn());
 }
 
-Tensor ddim_sample_checkpointed(const UNet& unet,
+Tensor ddim_sample_checkpointed(const DdimDenoiser& denoise,
                                 const DiffusionSchedule& sched,
-                                const ControlModule::Features& ctrl,
                                 const Tensor& noise, int steps,
-                                const Tensor& s, const Tensor& b,
                                 Prediction prediction,
                                 const DdimCheckpointFn& on_checkpoint) {
   NoGradGuard no_grad;
@@ -293,7 +296,7 @@ Tensor ddim_sample_checkpointed(const UNet& unet,
     step_count.inc();
     const int t = ts[static_cast<size_t>(k)];
     std::fill(tvec.begin(), tvec.end(), t);
-    const Tensor pred = unet.forward(z, tvec, ctrl, s, b);
+    const Tensor pred = denoise(z, t);
     Tensor z0, eps;
     if (prediction == Prediction::kEps) {
       eps = pred;
@@ -316,65 +319,6 @@ Tensor ddim_sample_checkpointed(const UNet& unet,
     const float s1m = sched.sqrt_one_m_ab[static_cast<size_t>(t_prev)];
     z = add(scale(z0, sab), scale(eps, s1m));
   }
-  return z;
-}
-
-plan::TensorId capture_ddim(plan::GraphBuilder& g, const UNet& unet,
-                            const DiffusionSchedule& sched, plan::TensorId c1,
-                            plan::TensorId c2, plan::TensorId noise, int steps,
-                            plan::TensorId s, plan::TensorId b,
-                            Prediction prediction) {
-  const int n = g.shape(noise)[0];
-  if (steps < 1 || steps > sched.T) {
-    throw std::invalid_argument("capture_ddim: bad step count");
-  }
-  // Same evenly spaced descending subsequence as ddim_sample.
-  std::vector<int> ts(static_cast<size_t>(steps));
-  for (int i = 0; i < steps; ++i) {
-    ts[static_cast<size_t>(i)] = static_cast<int>(
-        static_cast<int64_t>(sched.T - 1) * i / std::max(1, steps - 1));
-  }
-  plan::TensorId z = noise;
-  // Mirror ddim_sample's trace spans so a compiled run is observable the
-  // same way the eager loop is (cmake/quickstart_trace_test.cmake asserts
-  // both names appear in the trace regardless of DCDIFF_PLAN).
-  g.begin_span("ddim_sample");
-  for (int k = steps - 1; k >= 0; --k) {
-    g.begin_span("ddim_step");
-    const int t = ts[static_cast<size_t>(k)];
-    const plan::TensorId pred = unet.capture(g, z, n, t, c1, c2, s, b);
-    plan::TensorId z0;
-    plan::TensorId eps = plan::kNoTensor;
-    if (prediction == Prediction::kEps) {
-      eps = pred;
-      // predict_z0's uniform-timestep path, with its endpoint guard.
-      const float sab =
-          std::max(1e-4f, sched.sqrt_ab[static_cast<size_t>(t)]);
-      z0 = g.sub(g.scale(z, 1.0f / sab),
-                 g.scale(eps, sched.sqrt_one_m_ab[static_cast<size_t>(t)] /
-                                  sab));
-    } else {
-      z0 = pred;
-    }
-    z0 = g.clamp(z0, -1.2f, 1.2f);
-    if (prediction == Prediction::kX0) {
-      // eps_from_z0's uniform-timestep path.
-      const float s1m =
-          std::max(1e-4f, sched.sqrt_one_m_ab[static_cast<size_t>(t)]);
-      eps = g.sub(g.scale(z, 1.0f / s1m),
-                  g.scale(z0, sched.sqrt_ab[static_cast<size_t>(t)] / s1m));
-    }
-    if (k == 0) {
-      z = z0;
-      g.end_span();  // ddim_step
-      break;
-    }
-    const int t_prev = ts[static_cast<size_t>(k - 1)];
-    z = g.add(g.scale(z0, sched.sqrt_ab[static_cast<size_t>(t_prev)]),
-              g.scale(eps, sched.sqrt_one_m_ab[static_cast<size_t>(t_prev)]));
-    g.end_span();  // ddim_step
-  }
-  g.end_span();  // ddim_sample
   return z;
 }
 

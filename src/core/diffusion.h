@@ -66,18 +66,22 @@ class UNet {
                      const ControlModule::Features& ctrl,
                      const nn::Tensor& s = nn::Tensor(),
                      const nn::Tensor& b = nn::Tensor()) const;
-  // Records one denoising forward for batch `n` at the fixed timestep `t`.
-  // The timestep-embedding MLP and each block's temb projection collapse to
-  // graph constants (computed eagerly here, bit-identical to the eager
-  // recompute), so the planned step runs none of them. `s`/`b` are the
-  // FreeU factors as graph tensors, or plan::kNoTensor when unmodulated.
-  // Throws std::invalid_argument when cfg.mid_attention is set (the plan
-  // path does not capture attention; callers fall back to eager).
+  // The four ResBlock timestep biases temb_proj(silu(temb)) for `rows`
+  // rows at the uniform timestep `t`, in the order capture() takes them
+  // (down, mid1, mid2, up). They are the only part of a denoising forward
+  // that depends on t, and come from the same ops forward() runs.
+  std::vector<nn::Tensor> temb_biases(int rows, int t) const;
+  // Records one denoising forward. The timestep enters only through
+  // `temb_bias` (graph tensors shaped like temb_biases()), so one captured
+  // step serves every timestep and step count. `s`/`b` are the FreeU
+  // factors as graph tensors, or plan::kNoTensor when unmodulated. Throws
+  // std::invalid_argument when cfg.mid_attention is set (the plan path does
+  // not capture attention; callers fall back to eager).
   nn::plan::TensorId capture(nn::plan::GraphBuilder& g, nn::plan::TensorId z_t,
-                             int n, int t, nn::plan::TensorId c1,
-                             nn::plan::TensorId c2,
-                             nn::plan::TensorId s = nn::plan::kNoTensor,
-                             nn::plan::TensorId b = nn::plan::kNoTensor) const;
+                             nn::plan::TensorId c1, nn::plan::TensorId c2,
+                             nn::plan::TensorId s, nn::plan::TensorId b,
+                             const std::vector<nn::plan::TensorId>& temb_bias)
+      const;
   std::vector<nn::Tensor> params() const;
   const UNetConfig& config() const { return cfg_; }
 
@@ -101,48 +105,41 @@ enum class Prediction {
          // step counts for strongly-conditioned latents, used by default
 };
 
-// DDIM sampling (eta = 0) of a z0 latent. `steps` evenly-spaced timesteps;
-// `noise` is the initial z_T (shape (N, z_channels, h, w)); s/b as in
-// UNet::forward. Runs under NoGradGuard.
+// One denoising forward: the network's prediction for every row of the
+// latent batch `z_t` at the uniform timestep `t`. ddim_sample binds the
+// eager UNet::forward; DCDiffModel binds either that or a compiled step plan.
+using DdimDenoiser = std::function<nn::Tensor(const nn::Tensor& z_t, int t)>;
+
+// Checkpoint hook for anytime sampling: invoked once per completed DDIM step
+// with the current clamped z0 estimate — a decodable (coarser) latent — and
+// the number of steps finished so far (1..steps). Return true to keep
+// sampling, false to stop early; the sampler then returns that checkpoint
+// as its result. The hook observes z0 between the update statements and
+// perturbs no arithmetic, so a hook that always returns true changes
+// nothing.
+using DdimCheckpointFn = std::function<bool(const nn::Tensor& z0,
+                                            int steps_done)>;
+
+// The DDIM sampler (eta = 0): `steps` evenly spaced timesteps from the
+// initial z_T `noise` (shape (N, z_channels, h, w)), with an optional
+// per-step checkpoint hook (anytime / early-exit sampling). Every
+// reconstruction runs this loop, whatever denoiser it binds, so the
+// update, the clamp, the `ddim_step` spans and the core.ddim.* metrics
+// have one source. Runs under NoGradGuard.
+nn::Tensor ddim_sample_checkpointed(const DdimDenoiser& denoise,
+                                    const DiffusionSchedule& sched,
+                                    const nn::Tensor& noise, int steps,
+                                    Prediction prediction,
+                                    const DdimCheckpointFn& on_checkpoint);
+
+// ddim_sample_checkpointed over the eager UNet::forward with no hook; s/b
+// as in UNet::forward.
 nn::Tensor ddim_sample(const UNet& unet, const DiffusionSchedule& sched,
                        const ControlModule::Features& ctrl,
                        const nn::Tensor& noise, int steps,
                        const nn::Tensor& s = nn::Tensor(),
                        const nn::Tensor& b = nn::Tensor(),
                        Prediction prediction = Prediction::kEps);
-
-// Checkpoint hook for anytime sampling: invoked once per completed DDIM step
-// with the current clamped z0 estimate — a decodable (coarser) latent — and
-// the number of steps finished so far (1..steps). Return true to keep
-// sampling, false to stop early; the sampler then returns that checkpoint
-// as its result. A run whose hook always returns true is bit-identical to
-// ddim_sample: the hook observes z0 between the existing update statements
-// and perturbs no arithmetic.
-using DdimCheckpointFn = std::function<bool(const nn::Tensor& z0,
-                                            int steps_done)>;
-
-// ddim_sample with a per-step checkpoint hook (anytime / early-exit
-// sampling). `on_checkpoint` may be empty, in which case this is exactly
-// ddim_sample.
-nn::Tensor ddim_sample_checkpointed(const UNet& unet,
-                                    const DiffusionSchedule& sched,
-                                    const ControlModule::Features& ctrl,
-                                    const nn::Tensor& noise, int steps,
-                                    const nn::Tensor& s, const nn::Tensor& b,
-                                    Prediction prediction,
-                                    const DdimCheckpointFn& on_checkpoint);
-
-// Plan capture of ddim_sample: unrolls the `steps` DDIM updates into the
-// graph with the same arithmetic as the eager loop. The per-step
-// temporaries the eager path heap-allocates every iteration (pred, z0, eps,
-// the update terms) become liveness-planned slices of the plan arena.
-nn::plan::TensorId capture_ddim(nn::plan::GraphBuilder& g, const UNet& unet,
-                                const DiffusionSchedule& sched,
-                                nn::plan::TensorId c1, nn::plan::TensorId c2,
-                                nn::plan::TensorId noise, int steps,
-                                nn::plan::TensorId s = nn::plan::kNoTensor,
-                                nn::plan::TensorId b = nn::plan::kNoTensor,
-                                Prediction prediction = Prediction::kEps);
 
 // Recovers z0 from (z_t, predicted eps) at timestep t:
 //   z0 = (z_t - sqrt(1-ab_t) eps) / sqrt(ab_t)     (per-sample t)

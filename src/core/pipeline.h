@@ -33,11 +33,11 @@ namespace dcdiff::core {
 
 class ReconPlanner;  // recon_plan.h; held by pointer only
 
-// Planned-execution switch. The compiled-graph inference path (see
-// core/recon_plan.h and nn/plan/) is on by default; DCDIFF_PLAN=0 disables
-// it process-wide, leaving the eager tape path (the training-capable escape
-// hatch). set_plan_enabled overrides the env: 1 force-on, 0 force-off, -1
-// return to the env default. Thread-safe.
+// Planned-execution switch. Every reconstruction runs on compiled per-step
+// plans (see core/recon_plan.h and nn/plan/) by default. set_plan_enabled(0)
+// turns them off process-wide, leaving the eager tape — the oracle that
+// tests and `bench_serve --plan` compare planned output against; 1 or -1
+// restores the default. Thread-safe.
 bool plan_enabled();
 void set_plan_enabled(int v);
 
@@ -90,8 +90,7 @@ struct ReconstructOptions {
   // sequential Rng stream, so a crop's noise field equals the same crop of
   // the full field. This is what makes tiled reconstruction comparable to
   // an untiled run (see serve/tiler.h); it changes sampling output, so it is
-  // off by default (the sequential stream stays the bit-compat path) and
-  // forces the eager path (plans bake sequential noise).
+  // off by default (the sequential stream stays the bit-compat path).
   bool coord_noise = false;
   // When false, skip corner anchoring and the known-AC projection and
   // return the raw decoded estimate. Tiling uses this: anchoring and
@@ -114,8 +113,7 @@ struct AnytimeItem {
 // through `on_partial`, then sampling continues), or stops sampling early —
 // the final decode then happens on the best checkpoint so the caller still
 // receives valid (coarser) images. An absent on_step means run to
-// completion; the full run is bit-identical to the eager
-// reconstruct_batch path.
+// completion; a full run is bit-identical to reconstruct_batch.
 struct AnytimeControl {
   enum class Action { kContinue, kEmitPartial, kStop };
   std::function<Action(int steps_done, int total_steps)> on_step;
@@ -166,17 +164,18 @@ class DCDiffModel {
   void train_or_load();
 
   // --- inference (receiver side) ---
-  // Reconstructs from a DC-dropped coefficient image. Fields of
-  // ReconstructOptions left at their zero defaults fall back to the model
-  // config (see the struct).
+  // Reconstructs from a DC-dropped coefficient image (a batch of one).
+  // Fields of ReconstructOptions left at their zero defaults fall back to
+  // the model config (see the struct).
   Image reconstruct(const jpeg::CoeffImage& dropped,
                     const ReconstructOptions& opts = ReconstructOptions{}) const;
 
-  // Cross-request microbatched reconstruction: all images share one latent
-  // tensor through every DDIM step and the stage-1 decoder (ensemble members
-  // fold into the same batch axis; per-image FMPP (s,b) applied per batch
-  // row). Images whose padded sizes differ are grouped internally, so inputs
-  // of mixed dimensions are fine — same-size requests get the batching win.
+  // Cross-request microbatched reconstruction (reconstruct_batch_anytime
+  // run to completion): all images share one latent tensor through every
+  // DDIM step and the stage-1 decoder (ensemble members fold into the same
+  // batch axis; per-image FMPP (s,b) applied per batch row). Images whose
+  // padded sizes differ are grouped internally, so inputs of mixed
+  // dimensions are fine — same-size requests get the batching win.
   // Per-image outputs are numerically equivalent to the single-image path
   // (same seed derivation; verified to 1e-4 by tests/test_serve.cpp).
   // Pointer overload: the serving queue batches requests without copying
@@ -188,12 +187,13 @@ class DCDiffModel {
       const std::vector<jpeg::CoeffImage>& dropped,
       const ReconstructOptions& opts = ReconstructOptions{}) const;
 
-  // Anytime reconstruction: the eager DDIM chain with a per-step checkpoint
-  // hook (see AnytimeControl). Runs eagerly regardless of the plan switch —
-  // checkpoints need the live per-step z0, which compiled plans do not
-  // expose — and supports per-item noise origins for tiled sampling. With
-  // no hook installed the output is bit-identical to the eager
-  // reconstruct_batch path for the same options.
+  // The one reconstruction body; reconstruct and reconstruct_batch forward
+  // here. Each size group runs the DDIM loop with a per-step checkpoint
+  // hook (see AnytimeControl), on compiled per-step plans when the plan
+  // switch is on and the group's plans build (else on the eager tape), and
+  // supports per-item noise origins for tiled sampling. With no hook
+  // installed the output is that of reconstruct_batch for the same
+  // options.
   AnytimeResult reconstruct_batch_anytime(const std::vector<AnytimeItem>& items,
                                           const ReconstructOptions& opts,
                                           const AnytimeControl& ctrl) const;
@@ -214,14 +214,6 @@ class DCDiffModel {
   DCDiffModel(const DCDiffModel& src, ReplicaTag);
   Sample make_sample(int index) const;
   void check_trainable(const char* what) const;
-  // Planned-execution path for one uniform-size group (`n` images at padded
-  // size ph x pw; `tilde_b` is the stacked (n,3,ph,pw) tilde batch). On
-  // success *xhat holds the decoded (n,3,ph,pw) batch. Any failure — plan
-  // build error, unsupported config — comes back as a typed Status and the
-  // caller falls back to the eager path.
-  Status planned_group(const nn::Tensor& tilde_b, int n, int ph, int pw,
-                       int steps, int ensemble, bool use_fmpp,
-                       uint64_t noise_seed, nn::Tensor* xhat) const;
 
   DCDiffConfig cfg_;
   DiffusionSchedule sched_;

@@ -27,12 +27,6 @@ TensorId GraphBuilder::input(std::vector<int> shape) {
   return add_tensor(std::move(shape), Storage::kInput, g_->num_inputs++);
 }
 
-TensorId GraphBuilder::constant(const Tensor& t) {
-  g_->const_pool.push_back(t.value());
-  return add_tensor(t.shape(), Storage::kConstant,
-                    static_cast<int>(g_->const_pool.size() - 1));
-}
-
 TensorId GraphBuilder::param(const Tensor& t) {
   if (!t.defined()) return kNoTensor;
   auto it = param_ids_.find(t.node().get());
@@ -45,14 +39,6 @@ TensorId GraphBuilder::param(const Tensor& t) {
 }
 
 void GraphBuilder::mark_output(TensorId id) { g_->outputs.push_back(id); }
-
-void GraphBuilder::begin_span(const char* name) {
-  g_->marks.push_back({static_cast<int>(g_->ops.size()), name});
-}
-
-void GraphBuilder::end_span() {
-  g_->marks.push_back({static_cast<int>(g_->ops.size()), nullptr});
-}
 
 const std::vector<int>& GraphBuilder::shape(TensorId id) const {
   return g_->tensors[static_cast<size_t>(id)].shape;

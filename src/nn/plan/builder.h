@@ -20,19 +20,10 @@ class GraphBuilder {
 
   // A caller-provided input buffer (ordinal = call order).
   TensorId input(std::vector<int> shape);
-  // A value baked into the graph (copied now).
-  TensorId constant(const Tensor& t);
   // A live model weight; deduplicated by node identity, kept alive by the
   // graph. Undefined tensors (optional biases) map to kNoTensor.
   TensorId param(const Tensor& t);
   void mark_output(TensorId id);
-
-  // Trace-span boundaries: ops emitted between begin_span(name) and the
-  // matching end_span() show up as one `name` span when the compiled plan
-  // runs with tracing enabled (obs/trace.h). Spans nest; `name` must be a
-  // string literal. No effect on execution or numerics.
-  void begin_span(const char* name);
-  void end_span();
 
   const std::vector<int>& shape(TensorId id) const;
 

@@ -29,8 +29,8 @@ Status PlanCache::get_or_build(const std::string& key,
       return Status::ok();
     }
   }
-  // Build outside the lock: capture replays the full forward (DDIM steps x
-  // ensemble unrolled) and packs weights, which can take a moment.
+  // Build outside the lock: capture replays a forward and packs weights,
+  // which can take a moment.
   std::shared_ptr<const Plan> plan;
   try {
     Graph g;
@@ -67,15 +67,15 @@ Status PlanCache::get_or_build(const std::string& key,
   return Status::ok();
 }
 
-PlanCache::ArenaLease PlanCache::arena_for(const Plan& plan) {
+PlanCache::ArenaLease PlanCache::arena_for(size_t floats) {
   static obs::Counter& arena_allocs = obs::counter("plan.arena_allocs");
   // Fault site: arena acquisition fails as an allocation would. The caller
-  // (planned_group) must convert this to Status::internal and fall back to
-  // the eager tape — the request still completes, plan.eager_fallbacks
-  // ticks. Sits before the pool lookup so repeated runs keep faulting
-  // deterministically instead of being masked by a pooled arena.
+  // (core::ReconPlanner::open) must convert this to Status::internal and
+  // run the group on the eager tape — the request still completes,
+  // plan.eager_fallbacks ticks. Sits before the pool lookup so repeated
+  // runs keep faulting deterministically instead of being masked by a
+  // pooled arena.
   if (DCDIFF_FAULT_POINT("nn.plan.arena_fail")) throw std::bad_alloc();
-  const size_t floats = plan.arena_floats();
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = arena_pool_.find(floats);

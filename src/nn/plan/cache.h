@@ -65,11 +65,18 @@ class PlanCache {
     std::unique_ptr<ExecArena> arena_;
     bool allocated_;
   };
-  ArenaLease arena_for(const Plan& plan);
+  ArenaLease arena_for(const Plan& plan) {
+    return arena_for(plan.arena_floats());
+  }
+  // An arena of `floats` floats: several plans that run one after another
+  // can share one sized for the largest of them.
+  ArenaLease arena_for(size_t floats);
 
   size_t size() const;
 
-  static constexpr size_t kMaxPlans = 64;
+  // core::ReconPlanner compiles three plans per group shape, so this keeps
+  // 64 shapes resident.
+  static constexpr size_t kMaxPlans = 192;
 
  private:
   friend class ArenaLease;

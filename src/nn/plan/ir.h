@@ -1,13 +1,12 @@
 // Static inference-plan IR: a flat SSA operator graph over tensor ids.
 //
-// A Graph is captured once per (model, shape, schedule) combination by the
-// capture methods on the nn/core modules (see GraphBuilder), then compiled
-// into a Plan: a fusion pass merges adjacent conv/groupnorm/activation ops,
-// a liveness pass assigns every intermediate a slice of one preplanned
-// arena, and weight references are resolved to raw pointers (and PackedA
-// panels) up front. Executing the plan then touches no allocator, no
-// autograd tape, and no shape logic — the steady state is two allocations
-// per replica total: the plan itself and its arena.
+// A Graph is captured once per (model, shape) combination by the capture
+// methods on the nn/core modules (see GraphBuilder), then compiled into a
+// Plan: a fusion pass merges adjacent conv/groupnorm/activation ops, a
+// liveness pass assigns every intermediate a slice of one preplanned arena,
+// and weight references are resolved to raw pointers (and PackedA panels)
+// up front. Executing the plan then touches no allocator, no autograd tape,
+// and no shape logic: plans and arenas are allocated once, then reused.
 //
 // Every kernel the executor runs keeps the per-element arithmetic of the
 // corresponding eager loop in nn/ops.cpp, and fusion only merges memory
@@ -30,7 +29,6 @@ namespace dcdiff::nn::plan {
 // Where a tensor's storage lives at execution time.
 enum class Storage : uint8_t {
   kInput,     // caller-provided buffer, by input ordinal
-  kConstant,  // baked into the graph at capture time (Graph::const_pool)
   kParam,     // a live model weight (Graph::params keeps the node alive)
   kArena,     // intermediate: offset into the plan arena (liveness-assigned)
 };
@@ -39,7 +37,7 @@ struct TensorInfo {
   std::vector<int> shape;
   size_t numel = 0;
   Storage storage = Storage::kArena;
-  // kInput: input ordinal; kConstant: const_pool index; kParam: params index.
+  // kInput: input ordinal; kParam: params index.
   int index = -1;
   // kArena: offset in floats, assigned by plan_memory().
   size_t offset = 0;
@@ -87,24 +85,10 @@ struct Op {
   size_t scratch_floats = 0;
 };
 
-// Trace-span boundary: before executing op index `op`, a non-null `name`
-// opens a span of that name; a null `name` closes the innermost open span.
-// Emitted by GraphBuilder::begin_span/end_span so a compiled run shows the
-// same per-phase spans (ddim_sample, ddim_step, ...) the eager path traces.
-// `name` must have static storage duration (string literals).
-struct SpanMark {
-  int op = 0;
-  const char* name = nullptr;
-};
-
 struct Graph {
   std::vector<TensorInfo> tensors;
   std::vector<Op> ops;
   std::vector<TensorId> outputs;
-  std::vector<SpanMark> marks;  // non-decreasing in `op`
-  // Values captured by GraphBuilder::constant (e.g. the timestep-embedding
-  // MLP outputs, constant for a fixed DDIM schedule).
-  std::vector<std::vector<float>> const_pool;
   // Keep-alive handles for kParam tensors; TensorInfo::index indexes here.
   std::vector<Tensor> params;
   int num_inputs = 0;

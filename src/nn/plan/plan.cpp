@@ -7,12 +7,9 @@
 #include <string>
 #include <utility>
 
-#include <memory>
-
 #include "nn/packcache.h"
 #include "nn/plan/kernels.h"
 #include "obs/env.h"
-#include "obs/trace.h"
 
 namespace dcdiff::nn::plan {
 namespace {
@@ -117,8 +114,6 @@ const float* Plan::resolve(TensorId id, float* arena,
   switch (t.storage) {
     case Storage::kInput:
       return inputs[static_cast<size_t>(t.index)];
-    case Storage::kConstant:
-      return graph_.const_pool[static_cast<size_t>(t.index)].data();
     case Storage::kParam:
       return graph_.params[static_cast<size_t>(t.index)].value().data();
     case Storage::kArena:
@@ -134,24 +129,7 @@ void Plan::run(ExecArena& arena, const std::vector<const float*>& inputs,
   }
   float* base = arena.data();
   std::map<std::string, std::pair<int, double>> prof;  // kind -> {count, us}
-  // Captured span marks replay as real trace spans (ddim_sample, ddim_step,
-  // ...) so a compiled run traces like the eager path. Zero cost when
-  // tracing is off.
-  const bool tracing = obs::trace_enabled() && !graph_.marks.empty();
-  size_t mark_i = 0;
-  std::vector<std::unique_ptr<obs::ScopedSpan>> span_stack;
-  const auto replay_marks = [&](int upto) {
-    while (mark_i < graph_.marks.size() && graph_.marks[mark_i].op <= upto) {
-      const SpanMark& m = graph_.marks[mark_i++];
-      if (m.name != nullptr) {
-        span_stack.push_back(std::make_unique<obs::ScopedSpan>(m.name));
-      } else if (!span_stack.empty()) {
-        span_stack.pop_back();
-      }
-    }
-  };
   for (size_t i = 0; i < graph_.ops.size(); ++i) {
-    if (tracing) replay_marks(static_cast<int>(i));
     const Op& op = graph_.ops[i];
     const TensorInfo& ot = graph_.tensors[static_cast<size_t>(op.out)];
     float* out = base + ot.offset;
@@ -275,10 +253,6 @@ void Plan::run(ExecArena& arena, const std::vector<const float*>& inputs,
         break;
     }
     apply_post_inplace(op.post, out, ot.numel);
-    if (tracing && i + 1 == graph_.ops.size()) {
-      replay_marks(static_cast<int>(graph_.ops.size()));
-      span_stack.clear();  // close any span left open by capture
-    }
     if (profile_enabled()) {
       auto& slot = prof[kind_name(op.kind)];
       slot.first++;

@@ -555,12 +555,6 @@ void ReceiverServer::run_batch(Worker& self, std::vector<Request>& batch,
   batch_size.observe(static_cast<double>(live.size()));
   self.batch_counter->inc();
 
-  // Two model calls at most: plain requests (shared noise stream, plan
-  // path when possible) and tile sub-requests (coordinate-seeded noise at
-  // each tile's origin, postprocess deferred to the stitch).
-  std::vector<Request*> plain, tiled;
-  for (Request* r : live) (r->tile ? tiled : plain).push_back(r);
-
   bool all_latency = true;
   for (const Request* r : live) {
     all_latency = all_latency && r->tier == QosTier::kLatency;
@@ -586,7 +580,7 @@ void ReceiverServer::run_batch(Worker& self, std::vector<Request>& batch,
   };
 
   const double model_us = obs::trace_now_us();
-  // Per-live-request outputs, filled by the two group runs below.
+  // Per-live-request outputs, filled by the group runs below.
   std::vector<Image> out_images(live.size());
   std::vector<int> out_steps(live.size(), 0);
   Status batch_status;  // first internal error (shared within a model call)
@@ -599,143 +593,121 @@ void ReceiverServer::run_batch(Worker& self, std::vector<Request>& batch,
     return live.size();
   };
 
-  // Split the plain requests by execution needs. A request is "anytime"
-  // when it can diverge from the straight-line compiled run: it streams
-  // partials, or it carries a deadline that (with degraded service on) may
-  // cut sampling short. Keeping the two populations in separate model
-  // calls means quality requests stay on the planned bit-compatible path
-  // AND never pin a doomed sibling to the full step count — each anytime
-  // group stops as soon as all of *its* members have expired. Per-item
-  // noise seeding makes group membership numerically irrelevant.
-  std::vector<Request*> plain_plan, plain_any;
-  for (Request* r : plain) {
+  // Up to three model calls, all through the same (planned)
+  // reconstruction; they differ only in when sampling may stop:
+  //   * final-only: plain requests with nothing to stop for run every step;
+  //   * anytime: plain requests that stream partials, or whose deadline may
+  //     cut sampling short (degraded service on), and every plain request
+  //     of a shed batch, stop once all of them have expired;
+  //   * tiled: tile sub-requests (coordinate-seeded noise at each tile's
+  //     origin, postprocess deferred to the stitch) stop the same way.
+  // Separate calls keep quality requests from paying for a sibling's
+  // partial decodes, and let each anytime group stop as soon as all of
+  // *its* members have expired. Per-item noise seeding makes group
+  // membership numerically irrelevant.
+  std::vector<Request*> plain_final, plain_any, tiled;
+  for (Request* r : live) {
+    if (r->tile) {
+      tiled.push_back(r);
+      continue;
+    }
     const bool anytime =
         shed || r->delivery == DeliveryMode::kProgressive ||
         (degrade_enabled && r->deadline != Clock::time_point::max());
-    (anytime ? plain_any : plain_plan).push_back(r);
-  }
-  if (!plain_plan.empty()) {
-    try {
-      // Nothing anytime about this group: take the planned (compiled)
-      // path, bit-identical to the pre-anytime server.
-      std::vector<const jpeg::CoeffImage*> coeffs;
-      coeffs.reserve(plain_plan.size());
-      for (Request* r : plain_plan) coeffs.push_back(&r->coeffs);
-      std::vector<Image> images =
-          self.model->reconstruct_batch(coeffs, cfg_.recon);
-      for (size_t i = 0; i < plain_plan.size(); ++i) {
-        out_images[index_of(plain_plan[i])] = std::move(images[i]);
-        out_steps[index_of(plain_plan[i])] = full_steps_;
-      }
-    } catch (const std::exception& e) {
-      batch_status = Status::internal(e.what());
-    }
+    (anytime ? plain_any : plain_final).push_back(r);
   }
 
-  uint64_t n_suppressed = 0;
-  if (!plain_any.empty()) {
+  // Runs one group and files its images and step counts. A failure fails
+  // only the requests it left without an image.
+  const auto run_group = [&](const std::vector<Request*>& group,
+                             const core::ReconstructOptions& opts,
+                             const core::AnytimeControl& ctrl) {
+    if (group.empty()) return;
     try {
-      // A progressive request whose consumer already destroyed its
-      // ResultStream has nobody left to deliver partials to: the Request
-      // here holds the channel's only reference. Such requests neither
-      // justify checkpoint decodes for the group nor receive pushes — the
-      // terminal Result still goes through push_result (it fulfils the
-      // submit_future promise and the accounting contract). use_count is
-      // advisory under concurrency, but the only other owner is the
-      // consumer handle, and a stale read costs one harmless partial.
-      const auto abandoned =
-          [](const std::shared_ptr<detail::StreamState>& s) {
-            return s.use_count() <= 1;
-          };
-      bool group_progressive = false;
-      for (const Request* r : plain_any) {
-        if (r->delivery != DeliveryMode::kProgressive) continue;
-        if (abandoned(r->stream)) {
-          ++n_suppressed;
-          continue;
-        }
-        group_progressive = true;
-      }
       std::vector<core::AnytimeItem> items;
-      items.reserve(plain_any.size());
-      for (Request* r : plain_any) items.push_back({&r->coeffs, 0, 0});
-      core::ReconstructOptions opts = cfg_.recon;
-      opts.ddim_steps = planned_steps;
-      const int interval = cfg_.partial_interval > 0
-                               ? cfg_.partial_interval
-                               : std::max(1, planned_steps / 3);
-      core::AnytimeControl ctrl;
-      ctrl.on_step = [&](int done, int total) {
-        if (degrade_enabled && done >= floor_steps &&
-            all_expired(plain_any)) {
-          return core::AnytimeControl::Action::kStop;
-        }
-        if (group_progressive && done < total && done % interval == 0) {
-          return core::AnytimeControl::Action::kEmitPartial;
-        }
-        return core::AnytimeControl::Action::kContinue;
-      };
-      ctrl.on_partial = [&](int item, Image image, int done,
-                            double psnr_proxy) {
-        Request* r = plain_any[static_cast<size_t>(item)];
-        if (r->delivery != DeliveryMode::kProgressive) return;
-        if (abandoned(r->stream)) return;  // consumer vanished mid-batch
-        obs::TraceContext one;
-        one.worker = self.index;
-        one.request_ids.push_back(r->request_id);
-        obs::trace_emit("serve.partial", obs::trace_now_us(), 0,
-                        obs::intern_trace_context(std::move(one)));
-        ++n_partials;
-        detail::push_partial(r->stream,
-                             Partial{std::move(image), done, psnr_proxy});
-      };
+      items.reserve(group.size());
+      for (Request* r : group) {
+        items.push_back({&r->coeffs, r->noise_x0, r->noise_y0});
+      }
       core::AnytimeResult res =
           self.model->reconstruct_batch_anytime(items, opts, ctrl);
-      for (size_t i = 0; i < plain_any.size(); ++i) {
-        out_images[index_of(plain_any[i])] = std::move(res.images[i]);
-        out_steps[index_of(plain_any[i])] = res.steps_done[i];
+      for (size_t i = 0; i < group.size(); ++i) {
+        out_images[index_of(group[i])] = std::move(res.images[i]);
+        out_steps[index_of(group[i])] = res.steps_done[i];
       }
     } catch (const std::exception& e) {
       if (batch_status.is_ok()) batch_status = Status::internal(e.what());
     }
-  }
+  };
 
-  if (!tiled.empty()) {
-    Status tiled_status;
-    try {
-      std::vector<core::AnytimeItem> items;
-      items.reserve(tiled.size());
-      for (Request* r : tiled)
-        items.push_back({&r->coeffs, r->noise_x0, r->noise_y0});
-      core::ReconstructOptions opts = cfg_.recon;
-      opts.ddim_steps = planned_steps;
-      // Crop-consistent noise so tiles match the untiled field; global
-      // postprocess (corner anchoring, AC projection) runs at the stitch.
-      // FMPP's per-sample scalars are ill-defined on crops — off for tiles.
-      opts.coord_noise = true;
-      opts.postprocess = false;
-      opts.use_fmpp = false;
-      core::AnytimeControl ctrl;
-      ctrl.on_step = [&](int done, int) {
-        return degrade_enabled && done >= floor_steps && all_expired(tiled)
-                   ? core::AnytimeControl::Action::kStop
-                   : core::AnytimeControl::Action::kContinue;
-      };
-      core::AnytimeResult res =
-          self.model->reconstruct_batch_anytime(items, opts, ctrl);
-      for (size_t i = 0; i < tiled.size(); ++i) {
-        out_images[index_of(tiled[i])] = std::move(res.images[i]);
-        out_steps[index_of(tiled[i])] = res.steps_done[i];
-      }
-    } catch (const std::exception& e) {
-      tiled_status = Status::internal(e.what());
+  core::ReconstructOptions opts = cfg_.recon;
+  opts.ddim_steps = planned_steps;
+  run_group(plain_final, opts, core::AnytimeControl{});
+
+  // A progressive request whose consumer already destroyed its
+  // ResultStream has nobody left to deliver partials to: the Request here
+  // holds the channel's only reference. Such requests neither justify
+  // checkpoint decodes for the group nor receive pushes — the terminal
+  // Result still goes through push_result (it fulfils the submit_future
+  // promise and the accounting contract). use_count is advisory under
+  // concurrency, but the only other owner is the consumer handle, and a
+  // stale read costs one harmless partial.
+  const auto abandoned = [](const std::shared_ptr<detail::StreamState>& st) {
+    return st.use_count() <= 1;
+  };
+  uint64_t n_suppressed = 0;
+  bool group_progressive = false;
+  for (const Request* r : plain_any) {
+    if (r->delivery != DeliveryMode::kProgressive) continue;
+    if (abandoned(r->stream)) {
+      ++n_suppressed;
+      continue;
     }
-    if (!tiled_status.is_ok() && batch_status.is_ok())
-      batch_status = tiled_status;
-    if (!tiled_status.is_ok()) {
-      for (Request* r : tiled) out_steps[index_of(r)] = 0;
-    }
+    group_progressive = true;
   }
+  const int interval = cfg_.partial_interval > 0
+                           ? cfg_.partial_interval
+                           : std::max(1, planned_steps / 3);
+  core::AnytimeControl any_ctrl;
+  any_ctrl.on_step = [&](int done, int total) {
+    if (degrade_enabled && done >= floor_steps && all_expired(plain_any)) {
+      return core::AnytimeControl::Action::kStop;
+    }
+    if (group_progressive && done < total && done % interval == 0) {
+      return core::AnytimeControl::Action::kEmitPartial;
+    }
+    return core::AnytimeControl::Action::kContinue;
+  };
+  any_ctrl.on_partial = [&](int item, Image image, int done,
+                            double psnr_proxy) {
+    Request* r = plain_any[static_cast<size_t>(item)];
+    if (r->delivery != DeliveryMode::kProgressive) return;
+    if (abandoned(r->stream)) return;  // consumer vanished mid-batch
+    obs::TraceContext one;
+    one.worker = self.index;
+    one.request_ids.push_back(r->request_id);
+    obs::trace_emit("serve.partial", obs::trace_now_us(), 0,
+                    obs::intern_trace_context(std::move(one)));
+    ++n_partials;
+    detail::push_partial(r->stream,
+                         Partial{std::move(image), done, psnr_proxy});
+  };
+  run_group(plain_any, opts, any_ctrl);
+
+  // Crop-consistent noise so tiles match the untiled field; global
+  // postprocess (corner anchoring, AC projection) runs at the stitch.
+  // FMPP's per-sample scalars are ill-defined on crops — off for tiles.
+  core::ReconstructOptions tile_opts = opts;
+  tile_opts.coord_noise = true;
+  tile_opts.postprocess = false;
+  tile_opts.use_fmpp = false;
+  core::AnytimeControl tile_ctrl;
+  tile_ctrl.on_step = [&](int done, int) {
+    return degrade_enabled && done >= floor_steps && all_expired(tiled)
+               ? core::AnytimeControl::Action::kStop
+               : core::AnytimeControl::Action::kContinue;
+  };
+  run_group(tiled, tile_opts, tile_ctrl);
 
   const auto end = Clock::now();
   const double done_us = obs::trace_now_us();

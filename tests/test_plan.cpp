@@ -7,11 +7,14 @@
 //     the eager loop bodies, so the target is bit-identity; the assert
 //     tolerance is 1e-5).
 //   * Plans compile once per shape signature and are reused (cache hits, no
-//     rebuilds).
-//   * DCDIFF_PLAN=0 / set_plan_enabled(0) is a real escape hatch: the plan
-//     layer is never consulted.
+//     rebuilds), whatever the step count: the compiled unit is one DDIM
+//     step.
+//   * The one DDIM loop records core.ddim.* for planned requests too.
+//   * set_plan_enabled(0) is a real eager oracle: the plan layer is never
+//     consulted.
 //   * Steady state allocates nothing: after warmup, repeated planned
-//     forwards grow neither the plan arena pool nor the thread workspace.
+//     forwards (anytime calls with partials included) grow neither the plan
+//     arena pool nor the thread workspace.
 //   * Plan build failures surface as a typed Status, never an exception.
 //   * Replica-sharded serving works with per-replica plans (this suite runs
 //     under the `concurrency` CTest label; a TSan build exercises it).
@@ -156,6 +159,42 @@ TEST_F(PlanTest, PlanCompiledOncePerSignature) {
   (void)model_->reconstruct(coeffs);
   EXPECT_EQ(obs::counter("plan.builds").value(), builds_before);
   EXPECT_GE(obs::counter("plan.cache_hits").value(), hits_before + 2);
+
+  // The step count is not part of the signature: after the warm 4-step
+  // call, shorter chains (the governor's shed counts) reuse the same plans.
+  ASSERT_EQ(model_->config().ddim_steps, 4);
+  for (int steps = 1; steps <= 3; ++steps) {
+    core::ReconstructOptions opts;
+    opts.ddim_steps = steps;
+    (void)model_->reconstruct(coeffs, opts);
+    EXPECT_EQ(obs::counter("plan.builds").value(), builds_before)
+        << steps << " steps";
+  }
+}
+
+TEST_F(PlanTest, PlannedBatchRecordsEveryDdimStep) {
+  const jpeg::CoeffImage c0 = jpeg::decode_jfif(bitstream(0));
+  const jpeg::CoeffImage c1 = jpeg::decode_jfif(bitstream(1));
+  const std::vector<const jpeg::CoeffImage*> batch = {&c0, &c1};
+  core::set_plan_enabled(1);
+  core::ReconstructOptions opts;
+  opts.ddim_steps = 3;
+  (void)model_->reconstruct_batch(batch, opts);  // warm: compile
+
+  obs::Counter& steps = obs::counter("core.ddim.steps");
+  obs::Histogram& step_seconds = obs::histogram("core.ddim.step_seconds");
+  obs::Histogram& rows = obs::histogram("core.ddim.batch_rows");
+  const uint64_t steps_before = steps.value();
+  const uint64_t timed_before = step_seconds.count();
+  const uint64_t rows_before = rows.count();
+  const uint64_t fallbacks_before =
+      obs::counter("plan.eager_fallbacks").value();
+  (void)model_->reconstruct_batch(batch, opts);
+  // One size group: one sampling pass of 3 steps, served planned.
+  EXPECT_EQ(steps.value(), steps_before + 3);
+  EXPECT_EQ(step_seconds.count(), timed_before + 3);
+  EXPECT_EQ(rows.count(), rows_before + 1);
+  EXPECT_EQ(obs::counter("plan.eager_fallbacks").value(), fallbacks_before);
 }
 
 TEST_F(PlanTest, DisabledPlanPathIsNeverConsulted) {
@@ -168,7 +207,7 @@ TEST_F(PlanTest, DisabledPlanPathIsNeverConsulted) {
   EXPECT_GT(img.width(), 0);
   EXPECT_EQ(obs::counter("plan.builds").value(), builds_before);
   EXPECT_EQ(obs::counter("plan.cache_hits").value(), hits_before);
-  core::set_plan_enabled(-1);  // back to the env default
+  core::set_plan_enabled(-1);  // back to the default: planned
   EXPECT_TRUE(core::plan_enabled());
 }
 
@@ -177,17 +216,31 @@ TEST_F(PlanTest, DisabledPlanPathIsNeverConsulted) {
 TEST_F(PlanTest, SteadyStatePlannedForwardAllocatesNothing) {
   const jpeg::CoeffImage coeffs = jpeg::decode_jfif(bitstream(0));
   core::set_plan_enabled(1);
+  // An anytime call that decodes a partial after every step but the last.
+  const std::vector<core::AnytimeItem> items = {{&coeffs, 0, 0}};
+  core::AnytimeControl partials;
+  int emitted = 0;
+  partials.on_step = [](int done, int total) {
+    return done < total ? core::AnytimeControl::Action::kEmitPartial
+                        : core::AnytimeControl::Action::kContinue;
+  };
+  partials.on_partial = [&](int, Image, int, double) { ++emitted; };
   // Warm up: plan compile, arena-pool seeding, workspace growth.
   (void)model_->reconstruct(coeffs);
   (void)model_->reconstruct(coeffs);
+  (void)model_->reconstruct_batch_anytime(items, {}, partials);
 
   const uint64_t arena_allocs_before =
       obs::counter("plan.arena_allocs").value();
   const size_t ws_blocks_before = nn::Workspace::total_blocks_allocated();
+  emitted = 0;
   for (int i = 0; i < 3; ++i) {
     (void)model_->reconstruct(coeffs);
     EXPECT_EQ(obs::gauge("plan.allocs_per_forward").value(), 0.0);
+    (void)model_->reconstruct_batch_anytime(items, {}, partials);
+    EXPECT_EQ(obs::gauge("plan.allocs_per_forward").value(), 0.0);
   }
+  EXPECT_EQ(emitted, 3 * (model_->config().ddim_steps - 1));
   EXPECT_EQ(obs::counter("plan.arena_allocs").value(), arena_allocs_before);
   EXPECT_EQ(nn::Workspace::total_blocks_allocated(), ws_blocks_before);
   EXPECT_GT(obs::gauge("plan.arena_bytes").value(), 0.0);

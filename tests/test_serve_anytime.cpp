@@ -3,9 +3,11 @@
 //
 // The load-bearing contracts:
 //   * Determinism: reconstruct_batch_anytime run to its full step count is
-//     bit-identical to the eager reconstruct_batch path — the checkpoint
-//     hook observes z0 between the existing update statements and perturbs
-//     no arithmetic.
+//     bit-identical to reconstruct_batch, eager against eager and planned
+//     against planned — the checkpoint hook observes z0 between the update
+//     statements and perturbs no arithmetic.
+//   * One path: early stops, partials and the tile options all run on the
+//     compiled per-step plans, never the eager fallback.
 //   * Early exit: stopping after k < N steps still yields valid (coarser)
 //     images, and reports k honestly.
 //   * Degraded service: a request whose deadline fires is answered with its
@@ -30,6 +32,7 @@
 
 #include "core/pipeline.h"
 #include "data/datasets.h"
+#include "obs/metrics.h"
 #include "jpeg/codec.h"
 #include "serve/governor.h"
 #include "serve/server.h"
@@ -187,6 +190,89 @@ TEST_F(ServeAnytimeTest, EmitPartialDeliversMidSamplingCheckpoints) {
     EXPECT_EQ(partial_steps[i], static_cast<int>(i) + 1);
     EXPECT_GE(proxies[i], 0.0);
   }
+}
+
+// The same gate on the default (planned) path: a full-step anytime run is
+// bit-identical to planned reconstruct_batch, and within the planned-vs-
+// eager tolerance of the eager run.
+TEST_F(ServeAnytimeTest, PlannedFullStepAnytimeRunMatchesPlannedBatch) {
+  const jpeg::CoeffImage c0 = jpeg::decode_jfif(bitstream(0));
+  const jpeg::CoeffImage c1 = jpeg::decode_jfif(bitstream(1));
+  const std::vector<const jpeg::CoeffImage*> batch = {&c0, &c1};
+  const std::vector<core::AnytimeItem> items = {{&c0, 0, 0}, {&c1, 0, 0}};
+  core::AnytimeControl ctrl;
+  ctrl.on_step = [](int, int) {
+    return core::AnytimeControl::Action::kContinue;
+  };
+
+  core::set_plan_enabled(0);
+  const core::AnytimeResult eager =
+      model_->reconstruct_batch_anytime(items, core::ReconstructOptions{}, ctrl);
+  core::set_plan_enabled(1);
+  const std::vector<Image> reference = model_->reconstruct_batch(batch);
+  const uint64_t fallbacks_before =
+      obs::counter("plan.eager_fallbacks").value();
+  const core::AnytimeResult planned =
+      model_->reconstruct_batch_anytime(items, core::ReconstructOptions{}, ctrl);
+  core::set_plan_enabled(-1);
+  EXPECT_EQ(obs::counter("plan.eager_fallbacks").value(), fallbacks_before);
+
+  ASSERT_EQ(planned.images.size(), 2u);
+  for (size_t i = 0; i < planned.images.size(); ++i) {
+    EXPECT_EQ(planned.steps_done[i], model_->config().ddim_steps);
+    EXPECT_EQ(max_abs_diff(reference[i], planned.images[i]), 0.0)
+        << "image " << i;
+    EXPECT_LE(max_abs_diff(eager.images[i], planned.images[i]), 1e-5)
+        << "image " << i;
+  }
+}
+
+// Every kind of anytime call the server makes — early stop, partial
+// emission, and the tile options — is served by the compiled plans.
+TEST_F(ServeAnytimeTest, EveryAnytimeCallKindRunsPlanned) {
+  const jpeg::CoeffImage coeffs = jpeg::decode_jfif(bitstream(0));
+  const std::vector<core::AnytimeItem> items = {{&coeffs, 0, 0}};
+  core::ReconstructOptions tile_opts;
+  tile_opts.coord_noise = true;
+  tile_opts.postprocess = false;
+  tile_opts.use_fmpp = false;
+  const std::vector<core::AnytimeItem> tile_items = {{&coeffs, 4, 8}};
+
+  core::AnytimeControl stop;
+  stop.on_step = [](int done, int) {
+    return done >= 2 ? core::AnytimeControl::Action::kStop
+                     : core::AnytimeControl::Action::kContinue;
+  };
+  core::AnytimeControl emit;
+  int partials = 0;
+  emit.on_step = [](int done, int total) {
+    return done < total ? core::AnytimeControl::Action::kEmitPartial
+                        : core::AnytimeControl::Action::kContinue;
+  };
+  emit.on_partial = [&](int, Image, int, double) { ++partials; };
+
+  const auto calls = {
+      std::make_pair(&stop, core::ReconstructOptions{}),
+      std::make_pair(&emit, core::ReconstructOptions{}),
+      std::make_pair(&stop, tile_opts),
+  };
+  const uint64_t fallbacks = obs::counter("plan.eager_fallbacks").value();
+  for (const auto& [ctrl, opts] : calls) {
+    const auto& call_items = opts.coord_noise ? tile_items : items;
+    // The first call may compile; the repeat must be all cache hits.
+    (void)model_->reconstruct_batch_anytime(call_items, opts, *ctrl);
+    const uint64_t hits = obs::counter("plan.cache_hits").value();
+    const uint64_t builds = obs::counter("plan.builds").value();
+    const core::AnytimeResult res =
+        model_->reconstruct_batch_anytime(call_items, opts, *ctrl);
+    ASSERT_EQ(res.images.size(), 1u);
+    EXPECT_FALSE(res.images[0].empty());
+    EXPECT_GT(obs::counter("plan.cache_hits").value(), hits)
+        << "coord_noise=" << opts.coord_noise;
+    EXPECT_EQ(obs::counter("plan.builds").value(), builds);
+  }
+  EXPECT_EQ(obs::counter("plan.eager_fallbacks").value(), fallbacks);
+  EXPECT_EQ(partials, 2 * (model_->config().ddim_steps - 1));
 }
 
 // ---- StepGovernor unit behaviour ----
