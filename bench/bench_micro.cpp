@@ -1,6 +1,7 @@
 // Microbenchmarks (google-benchmark) of the primitives behind the
 // experiment harnesses: DCT, quantization, Huffman entropy coding, full
-// encode, baseline recovery, and the NN building blocks.
+// encode, baseline recovery, the NN building blocks and the planned
+// forward's conv2d and SiLU kernels.
 //
 // With DCDIFF_BENCH_JSON set, a JSON report is written at exit containing
 // the obs metrics registry snapshot: the instrumented codec / NN stages
@@ -17,6 +18,8 @@
 #include "nn/gemm.h"
 #include "nn/modules.h"
 #include "nn/ops.h"
+#include "nn/plan/kernels.h"
+#include "nn/threadpool.h"
 
 using namespace dcdiff;
 
@@ -243,6 +246,63 @@ void BM_GroupNorm(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GroupNorm);
+
+// ---- plan kernels (the planned UNet step's hot paths) ----
+//
+// BM_PlanConv2d runs the planned conv2d (panel-packed patches, bias in the
+// GEMM write-out) at rxbench's conv shapes: u16c32 and u8c64 are UNet
+// layers at batch 2 (one image x ensemble 2), d64c32 an AE decoder layer
+// at batch 1, on one thread. BM_PlanSilu is the vectorized SiLU epilogue
+// over 16K floats.
+
+struct PlanConvShape {
+  int n, c, f, hw;
+};
+
+void BM_PlanConv2d(benchmark::State& state) {
+  static const PlanConvShape kShapes[] = {
+      {2, 32, 32, 16}, {2, 64, 64, 8}, {1, 32, 16, 64}};
+  static const char* const kTags[] = {"u16c32", "u8c64", "d64c32"};
+  const PlanConvShape s = kShapes[state.range(0)];
+  state.SetLabel(kTags[state.range(0)]);
+  const int64_t kdim = static_cast<int64_t>(s.c) * 9;
+  const int64_t npix = static_cast<int64_t>(s.hw) * s.hw;
+  Rng rng(9);
+  std::vector<float> x(static_cast<size_t>(s.n) * s.c * s.hw * s.hw);
+  std::vector<float> w(static_cast<size_t>(s.f * kdim));
+  std::vector<float> bias(static_cast<size_t>(s.f));
+  for (float& v : x) v = rng.normal();
+  for (float& v : w) v = rng.normal();
+  for (float& v : bias) v = rng.normal();
+  const nn::PackedA packed(false, s.f, kdim, w.data(), kdim);
+  std::vector<float> col(static_cast<size_t>(nn::panel_floats(kdim, npix)));
+  // One compute thread, as in the single-stream receiver.
+  nn::ThreadPool one(1);
+  nn::PoolBinding bind(&one);
+  std::vector<float> y(static_cast<size_t>(s.n * s.f * npix));
+  for (auto _ : state) {
+    nn::plan::k_conv2d(x.data(), s.n, s.c, s.hw, s.hw, packed, s.f, 3, 3, 1, 1,
+                       s.hw, s.hw, bias.data(), col.data(), y.data());
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * s.n * s.f * npix * kdim * 2);
+}
+BENCHMARK(BM_PlanConv2d)->Arg(0)->Arg(1)->Arg(2);
+
+void BM_PlanSilu(benchmark::State& state) {
+  Rng rng(10);
+  std::vector<float> x(16384);
+  for (float& v : x) v = 4.0f * rng.normal();
+  std::vector<float> y(x.size());
+  for (auto _ : state) {
+    nn::plan::k_silu(x.data(), y.data(), x.size());
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(x.size()));
+}
+BENCHMARK(BM_PlanSilu);
 
 }  // namespace
 

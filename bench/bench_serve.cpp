@@ -76,24 +76,6 @@ using namespace dcdiff;
 
 namespace {
 
-core::DCDiffConfig fast_config() {
-  core::DCDiffConfig cfg;
-  cfg.image_size = 32;
-  cfg.stage1_steps = 6;
-  cfg.stage2_steps = 6;
-  cfg.fmpp_steps = 2;
-  cfg.batch = 1;
-  cfg.ddim_steps = 4;
-  cfg.diffusion_T = 50;
-  cfg.ae.base = 8;
-  cfg.ae.ac_channels = 8;
-  cfg.unet.base = 8;
-  cfg.unet.temb_dim = 16;
-  cfg.ae_tag = "quickfast_ae";
-  cfg.tag = "quickfast";
-  return cfg;
-}
-
 double max_abs_diff(const Image& a, const Image& b) {
   if (a.width() != b.width() || a.height() != b.height() ||
       a.channels() != b.channels()) {
@@ -350,7 +332,7 @@ int run_plan_bench(const std::string& out_path) {
   constexpr int kReps = 3;
   constexpr double kRequiredSpeedup = 1.3;
 
-  auto model = core::ModelPool::instance().get(fast_config());
+  auto model = core::ModelPool::instance().get(core::toy_config());
   const int size = 2 * model->config().image_size;
 
   std::vector<jpeg::CoeffImage> coeffs;
@@ -543,7 +525,7 @@ int run_anytime_bench(const std::string& out_path) {
   constexpr int kImages = 12;
   constexpr int kMaxBatch = 4;
 
-  auto model = core::ModelPool::instance().get(fast_config());
+  auto model = core::ModelPool::instance().get(core::toy_config());
   const int size = 2 * model->config().image_size;
   std::vector<std::vector<uint8_t>> bitstreams;
   for (int i = 0; i < kImages; ++i) {
@@ -684,7 +666,7 @@ int main(int argc, char** argv) {
   constexpr int kImages = 12;
   constexpr int kMaxBatch = 4;
 
-  auto model = core::ModelPool::instance().get(fast_config());
+  auto model = core::ModelPool::instance().get(core::toy_config());
   const int size = 2 * model->config().image_size;
 
   std::vector<Image> originals;

@@ -33,30 +33,10 @@ using namespace dcdiff;
 
 namespace {
 
-// Every code path of the full model at toy scale (mirrors the tiny configs
-// the pipeline tests use; cached under its own tags).
-core::DCDiffConfig fast_config() {
-  core::DCDiffConfig cfg;
-  cfg.image_size = 32;
-  cfg.stage1_steps = 6;
-  cfg.stage2_steps = 6;
-  cfg.fmpp_steps = 2;
-  cfg.batch = 1;
-  cfg.ddim_steps = 4;
-  cfg.diffusion_T = 50;
-  cfg.ae.base = 8;
-  cfg.ae.ac_channels = 8;
-  cfg.unet.base = 8;
-  cfg.unet.temb_dim = 16;
-  cfg.ae_tag = "quickfast_ae";
-  cfg.tag = "quickfast";
-  return cfg;
-}
-
 const core::DCDiffModel& quickstart_model() {
   if (obs::env_int("DCDIFF_QUICKSTART_FAST", 0) > 0) {
     static core::DCDiffModel* model = [] {
-      auto* m = new core::DCDiffModel(fast_config());
+      auto* m = new core::DCDiffModel(core::toy_config());
       m->train_or_load();
       return m;
     }();

@@ -46,28 +46,6 @@
 
 using namespace dcdiff;
 
-namespace {
-
-core::DCDiffConfig fast_config() {
-  core::DCDiffConfig cfg;
-  cfg.image_size = 32;
-  cfg.stage1_steps = 6;
-  cfg.stage2_steps = 6;
-  cfg.fmpp_steps = 2;
-  cfg.batch = 1;
-  cfg.ddim_steps = 4;
-  cfg.diffusion_T = 50;
-  cfg.ae.base = 8;
-  cfg.ae.ac_channels = 8;
-  cfg.unet.base = 8;
-  cfg.unet.temb_dim = 16;
-  cfg.ae_tag = "quickfast_ae";
-  cfg.tag = "quickfast";
-  return cfg;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   std::string stats_dump;
   std::vector<const char*> positional;
@@ -97,7 +75,7 @@ int main(int argc, char** argv) {
   std::printf("serve_tool: %d images, %d client sessions, %s model\n",
               num_images, num_clients, fast ? "quickstart-fast" : "full");
 
-  auto model = fast ? core::ModelPool::instance().get(fast_config())
+  auto model = fast ? core::ModelPool::instance().get(core::toy_config())
                     : core::ModelPool::instance().default_instance();
 
   // Sender side: DC-dropped bitstreams for a spread of dataset images.

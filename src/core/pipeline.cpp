@@ -785,6 +785,24 @@ PoolState& pool_state() {
 
 }  // namespace
 
+DCDiffConfig toy_config() {
+  DCDiffConfig cfg;
+  cfg.image_size = 32;
+  cfg.stage1_steps = 6;
+  cfg.stage2_steps = 6;
+  cfg.fmpp_steps = 2;
+  cfg.batch = 1;
+  cfg.ddim_steps = 4;
+  cfg.diffusion_T = 50;
+  cfg.ae.base = 8;
+  cfg.ae.ac_channels = 8;
+  cfg.unet.base = 8;
+  cfg.unet.temb_dim = 16;
+  cfg.ae_tag = "quickfast_ae";
+  cfg.tag = "quickfast";
+  return cfg;
+}
+
 ModelPool& ModelPool::instance() {
   static ModelPool* pool = new ModelPool();
   return *pool;

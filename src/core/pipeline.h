@@ -77,6 +77,12 @@ struct DCDiffConfig {
   std::string tag = "default";
 };
 
+// The toy "quickfast" model: every code path of the full model at toy
+// scale (8 base channels, 6 training steps per stage, 4 DDIM steps),
+// cached under its own tags. The examples' fast mode and the serving
+// benches run it.
+DCDiffConfig toy_config();
+
 // Per-call inference options. Zero-valued fields defer to the model's
 // DCDiffConfig, so a default-constructed ReconstructOptions reproduces the
 // configured behaviour exactly.

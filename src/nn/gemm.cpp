@@ -114,9 +114,13 @@ void pack_b(bool trans_b, const float* b, int64_t ldb, int64_t pc, int64_t kc,
 typedef float VRow __attribute__((vector_size(NR * sizeof(float))));
 #endif
 
+// `bias` (MR row values, or null) is added after the tile is combined with
+// C: crow = (beta * crow + acc) + bias[i], the same order as a separate
+// bias pass over the finished product.
 void micro_kernel(int64_t kc, const float* __restrict ap,
                   const float* __restrict bp, float* __restrict c, int64_t ldc,
-                  int64_t mr, int64_t nr, float beta) {
+                  int64_t mr, int64_t nr, float beta,
+                  const float* __restrict bias) {
 #ifdef DCDIFF_GEMM_VECTOR_EXT
   VRow acc[MR];
   for (int64_t i = 0; i < MR; ++i) acc[i] = VRow{};
@@ -129,14 +133,13 @@ void micro_kernel(int64_t kc, const float* __restrict ap,
   if (mr == MR && nr == NR) {
     for (int64_t i = 0; i < MR; ++i) {
       float* crow = c + i * ldc;
-      if (beta == 0.0f) {
-        __builtin_memcpy(crow, &acc[i], sizeof(VRow));
-      } else {
-        VRow cv;
+      VRow cv = acc[i];
+      if (beta != 0.0f) {
         __builtin_memcpy(&cv, crow, sizeof(cv));
         cv = beta * cv + acc[i];
-        __builtin_memcpy(crow, &cv, sizeof(cv));
       }
+      if (bias) cv += bias[i];
+      __builtin_memcpy(crow, &cv, sizeof(cv));
     }
     return;
   }
@@ -152,26 +155,55 @@ void micro_kernel(int64_t kc, const float* __restrict ap,
       for (int64_t j = 0; j < NR; ++j) accs[i][j] += av * brow[j];
     }
   }
-  if (mr == MR && nr == NR) {
-    for (int64_t i = 0; i < MR; ++i) {
-      float* crow = c + i * ldc;
-      if (beta == 0.0f) {
-        for (int64_t j = 0; j < NR; ++j) crow[j] = accs[i][j];
-      } else {
-        for (int64_t j = 0; j < NR; ++j) {
-          crow[j] = beta * crow[j] + accs[i][j];
-        }
-      }
-    }
-    return;
-  }
 #endif
   for (int64_t i = 0; i < mr; ++i) {
     float* crow = c + i * ldc;
     for (int64_t j = 0; j < nr; ++j) {
       crow[j] = beta == 0.0f ? accs[i][j] : beta * crow[j] + accs[i][j];
     }
+    if (bias) {
+      for (int64_t j = 0; j < nr; ++j) crow[j] += bias[i];
+    }
   }
+}
+
+// One K-block of a blocked product over an nc-column block of C: every
+// MR x NR tile, parallel over tiles. Tile (ir, jr) multiplies A panel ir
+// of `ap` (kc deep) by the kc-deep B panel at bp + jr * b_stride; `bias`
+// (m row values, or null) is added as the tiles are written out.
+void run_tiles(int64_t m, int64_t nc, int64_t kc, const float* ap,
+               const float* bp, int64_t b_stride, float beta,
+               const float* bias, float* c, int64_t ldc) {
+  const int64_t col_panels = (nc + NR - 1) / NR;
+  const int64_t tiles = (m + MR - 1) / MR * col_panels;
+  const int64_t grain = std::max<int64_t>(1, kGrainMacs / (kc * MR * NR));
+  parallel_for_ranges(tiles, grain, [&](int64_t t0, int64_t t1) {
+    for (int64_t t = t0; t < t1; ++t) {
+      const int64_t ir = t / col_panels;
+      const int64_t jr = t % col_panels;
+      micro_kernel(kc, ap + ir * kc * MR, bp + jr * b_stride,
+                   c + ir * MR * ldc + jr * NR, ldc, std::min(MR, m - ir * MR),
+                   std::min(NR, nc - jr * NR), beta,
+                   bias ? bias + ir * MR : nullptr);
+    }
+  });
+}
+
+// dst[j] = lane[j] >= 0 ? win[j] : 0 for one 16-lane panel row, where all
+// 16 floats at `win` are readable: one vector load, select and store.
+void copy_window(const float* __restrict win, const int32_t* __restrict lane,
+                 float* __restrict dst) {
+#ifdef DCDIFF_GEMM_VECTOR_EXT
+  typedef int32_t VLane __attribute__((vector_size(NR * sizeof(int32_t))));
+  VRow v;
+  VLane l;
+  __builtin_memcpy(&v, win, sizeof(v));
+  __builtin_memcpy(&l, lane, sizeof(l));
+  v = l >= 0 ? v : VRow{};
+  __builtin_memcpy(dst, &v, sizeof(v));
+#else
+  for (int64_t j = 0; j < NR; ++j) dst[j] = lane[j] >= 0 ? win[j] : 0.0f;
+#endif
 }
 
 }  // namespace
@@ -222,25 +254,12 @@ void gemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
   // unchanged bit for bit.
   for (int64_t pc = 0; pc < k; pc += KC) {
     const int64_t kc = std::min(KC, k - pc);
-    const float beta_eff = pc == 0 ? beta : 1.0f;
     pack_a(trans_a, a, lda, m, pc, kc, ap);
     for (int64_t jc = 0; jc < n; jc += NC) {
       const int64_t nc = std::min(NC, n - jc);
-      const int64_t col_panels = (nc + NR - 1) / NR;
       pack_b(trans_b, b, ldb, pc, kc, jc, nc, bp);
-      const int64_t tiles = row_panels * col_panels;
-      const int64_t grain =
-          std::max<int64_t>(1, kGrainMacs / (kc * MR * NR));
-      parallel_for_ranges(tiles, grain, [&](int64_t t0, int64_t t1) {
-        for (int64_t t = t0; t < t1; ++t) {
-          const int64_t ir = t / col_panels;
-          const int64_t jr = t % col_panels;
-          micro_kernel(kc, ap + ir * kc * MR, bp + jr * kc * NR,
-                       c + ir * MR * ldc + jc + jr * NR, ldc,
-                       std::min(MR, m - ir * MR), std::min(NR, nc - jr * NR),
-                       beta_eff);
-        }
-      });
+      run_tiles(m, nc, kc, ap, bp, kc * NR, pc == 0 ? beta : 1.0f, nullptr,
+                c + jc, ldc);
     }
   }
 }
@@ -264,39 +283,124 @@ void PackedA::run(int64_t n, const float* b, int64_t ldb, float beta, float* c,
   if (m_ <= 0 || n <= 0) return;
   // Mirror gemm()'s routing exactly so a batched matmul through PackedA is
   // bit-equal to the per-call gemm() the single-image path would issue.
-  if (k_ <= 0 || gemm_naive_enabled() || m_ * n * k_ <= kSmallProblem) {
+  if (!blocked(n)) {
     gemm(trans_a_, false, m_, n, k_, a_, lda_, b, ldb, beta, c, ldc);
     return;
   }
   Workspace::Scope scope;
   Workspace& ws = Workspace::tls();
-  const int64_t row_panels = (m_ + MR - 1) / MR;
   const int64_t kc_max = std::min(KC, k_);
   float* bp = ws.floats(
       static_cast<size_t>(((std::min(NC, n) + NR - 1) / NR) * kc_max * NR));
   for (int64_t jc = 0; jc < n; jc += NC) {
     const int64_t nc = std::min(NC, n - jc);
-    const int64_t col_panels = (nc + NR - 1) / NR;
     int64_t block = 0;
     for (int64_t pc = 0; pc < k_; pc += KC, ++block) {
       const int64_t kc = std::min(KC, k_ - pc);
-      const float beta_eff = pc == 0 ? beta : 1.0f;
       const float* ap = panels_.data() + block_offset_[static_cast<size_t>(block)];
       pack_b(false, b, ldb, pc, kc, jc, nc, bp);
-      const int64_t tiles = row_panels * col_panels;
-      const int64_t grain = std::max<int64_t>(1, kGrainMacs / (kc * MR * NR));
-      parallel_for_ranges(tiles, grain, [&](int64_t t0, int64_t t1) {
-        for (int64_t t = t0; t < t1; ++t) {
-          const int64_t ir = t / col_panels;
-          const int64_t jr = t % col_panels;
-          micro_kernel(kc, ap + ir * kc * MR, bp + jr * kc * NR,
-                       c + ir * MR * ldc + jc + jr * NR, ldc,
-                       std::min(MR, m_ - ir * MR),
-                       std::min(NR, nc - jr * NR), beta_eff);
-        }
-      });
+      run_tiles(m_, nc, kc, ap, bp, kc * NR, pc == 0 ? beta : 1.0f, nullptr,
+                c + jc, ldc);
     }
   }
+}
+
+bool PackedA::blocked(int64_t n) const {
+  return m_ > 0 && n > 0 && k_ > 0 && !gemm_naive_enabled() &&
+         m_ * n * k_ > kSmallProblem;
+}
+
+void PackedA::run_panels(int64_t n, const float* panels, const float* bias,
+                         float* c, int64_t ldc) const {
+  // run()'s loop nest with the B panels already in place: panel jr of the
+  // whole matrix starts at panels + jr * k_ * NR, and K-block pc of it is
+  // the kc * NR floats at offset pc * NR — exactly the block pack_b would
+  // have copied out.
+  for (int64_t jc = 0; jc < n; jc += NC) {
+    const int64_t nc = std::min(NC, n - jc);
+    const float* bc = panels + (jc / NR) * k_ * NR;
+    int64_t block = 0;
+    for (int64_t pc = 0; pc < k_; pc += KC, ++block) {
+      const int64_t kc = std::min(KC, k_ - pc);
+      const float* ap = panels_.data() + block_offset_[static_cast<size_t>(block)];
+      run_tiles(m_, nc, kc, ap, bc + pc * NR, k_ * NR, pc == 0 ? 0.0f : 1.0f,
+                pc + kc == k_ ? bias : nullptr, c + jc, ldc);
+    }
+  }
+}
+
+int64_t panel_floats(int64_t k, int64_t n) {
+  return k * ((n + NR - 1) / NR) * NR;
+}
+
+void im2col_panels(const float* x, int c, int h, int w, int kh, int kw,
+                   int stride, int pad, int ho, int wo, int64_t col0,
+                   int64_t col1, float* panels) {
+  const int taps = kh * kw;
+  const int64_t k = static_cast<int64_t>(c) * taps;
+  const int64_t npix = static_cast<int64_t>(ho) * wo;
+  const int64_t plane = static_cast<int64_t>(h) * w;
+  const int64_t first_panel = col0 / NR;
+  const int64_t num_panels = (col1 + NR - 1) / NR - first_panel;
+  const int64_t grain = std::max<int64_t>(1, (1 << 14) / (k * NR));
+  parallel_for_ranges(num_panels, grain, [&](int64_t p0, int64_t p1) {
+    // Lane map, rebuilt per panel: src[t * NR + j] is the in-plane offset
+    // lane j reads at tap t, -1 in padding or past the last pixel.
+    // base[t] >= 0 marks a tap whose in-bounds lanes read src = base + j
+    // with the 16-float window at `base` inside the plane (every tap of a
+    // stride-1 "same" conv away from the plane's first and last rows): one
+    // vector load per channel, padded lanes then zeroed by a select. Other
+    // taps gather lane by lane. The map is per thread, grown once to the
+    // largest kernel seen.
+    thread_local std::vector<int32_t> map;
+    map.resize(static_cast<size_t>(taps) * (NR + 1));
+    int32_t* src = map.data();
+    int32_t* base = src + taps * NR;
+    for (int64_t jr = first_panel + p0; jr < first_panel + p1; ++jr) {
+      // Top-left input pixel of each lane's window (one division per panel,
+      // then stepping along the output row).
+      int y0[NR], x0[NR];
+      int oy = static_cast<int>(jr * NR / wo), ox = static_cast<int>(jr * NR % wo);
+      for (int64_t j = 0; j < NR; ++j) {
+        y0[j] = jr * NR + j < npix ? oy * stride - pad : -h - kh;
+        x0[j] = ox * stride - pad;
+        if (++ox == wo) ox = 0, ++oy;
+      }
+      for (int t = 0; t < taps; ++t) {
+        const int ky = t / kw, kx = t % kw;
+        int32_t* lane = src + t * NR;
+        for (int64_t j = 0; j < NR; ++j) {
+          const int iy = y0[j] + ky, ix = x0[j] + kx;
+          const bool in = static_cast<unsigned>(iy) < static_cast<unsigned>(h) &&
+                          static_cast<unsigned>(ix) < static_cast<unsigned>(w);
+          lane[j] = in ? iy * w + ix : -1;
+        }
+        int64_t first = 0;
+        while (first < NR && lane[first] < 0) ++first;
+        // All-padding taps use the window at 0: every lane is zeroed.
+        const int64_t b = first < NR ? lane[first] - first : 0;
+        bool window = b >= 0 && b + NR <= plane;
+        for (int64_t j = 0; j < NR; ++j) {
+          window = window && (lane[j] < 0 || lane[j] == b + j);
+        }
+        base[t] = window ? static_cast<int32_t>(b) : -1;
+      }
+      float* dst = panels + (jr - first_panel) * k * NR;
+      for (int ci = 0; ci < c; ++ci) {
+        const float* xp = x + ci * plane;
+        for (int t = 0; t < taps; ++t, dst += NR) {
+          const int32_t* lane = src + t * NR;
+          if (base[t] >= 0) {
+            copy_window(xp + base[t], lane, dst);
+            continue;
+          }
+          for (int64_t j = 0; j < NR; ++j) {
+            dst[j] = lane[j] >= 0 ? xp[lane[j]] : 0.0f;
+          }
+        }
+      }
+    }
+  });
 }
 
 void im2col(const float* x, int c, int h, int w, int kh, int kw, int stride,

@@ -8,7 +8,9 @@
 // (output gradient x transposed patches), and linear forward/backward.
 // Operands are packed into contiguous K-blocked panels allocated from the
 // calling thread's Workspace; the micro-tile grid is parallelized over the
-// global thread pool.
+// global thread pool. The planned conv2d skips the im2col copy: it packs
+// its patch matrix straight into B-panel layout (im2col_panels) and runs
+// PackedA::run_panels on it.
 //
 // Setting DCDIFF_GEMM_NAIVE=1 (or set_gemm_naive(true)) routes every call
 // through an unblocked reference loop instead — the A/B escape hatch for
@@ -49,6 +51,23 @@ void set_gemm_naive(bool naive);
 void im2col(const float* x, int c, int h, int w, int kh, int kw, int stride,
             int pad, int ho, int wo, float* col);
 
+// Floats of an im2col_panels buffer: k rows by n columns rounded up to
+// whole 16-column panels (exactly k * n when n % 16 == 0).
+int64_t panel_floats(int64_t k, int64_t n);
+
+// im2col straight into the micro-kernel's B-panel layout, for columns
+// [col0, col1) of the (c*kh*kw) x (ho*wo) patch matrix im2col would write
+// (col0 a multiple of 16, col1 <= ho*wo): 16-column panels that each span
+// every row, panels[((j - col0) / 16) * k * 16 + p * 16 + j % 16] for
+// k = c*kh*kw, with zeros past column col1. Panels are filled one after
+// another (parallel over panels), so writes are sequential; each panel
+// resolves which input pixel each of its 16 lanes reads once per kernel
+// tap and reuses that for every channel. `panels` holds
+// panel_floats(c*kh*kw, col1 - col0) floats.
+void im2col_panels(const float* x, int c, int h, int w, int kh, int kw,
+                   int stride, int pad, int ho, int wo, int64_t col0,
+                   int64_t col1, float* panels);
+
 // Pre-packed left operand for one-weight-many-inputs products.
 //
 // gemm() repacks A into micro-kernel panels for every NC-column block of
@@ -71,6 +90,20 @@ class PackedA {
   // with leading dimension ldb (trans_b = false).
   void run(int64_t n, const float* b, int64_t ldb, float beta, float* c,
            int64_t ldc) const;
+
+  // True when run(n, ...) takes the blocked micro-kernel path — false
+  // under DCDIFF_GEMM_NAIVE and for products below the small-problem cutoff,
+  // which go through the gemm() fallback instead.
+  bool blocked(int64_t n) const;
+
+  // C (m x n, leading dim ldc) = A_op * B + bias, B given as im2col_panels
+  // output (k rows, n columns) so no pack_b copy is made; `bias` (m floats,
+  // one per row, may be null) is added as the last K-block is written out.
+  // Requires blocked(n). Bit-equal to run(n, b, n, 0, c, ldc) on the same
+  // matrix followed by c[i][j] += bias[i]: same K-blocks, same FMA chain,
+  // same (c + acc) + bias order.
+  void run_panels(int64_t n, const float* panels, const float* bias, float* c,
+                  int64_t ldc) const;
 
  private:
   int64_t m_ = 0;

@@ -10,12 +10,29 @@
 //
 // Every kernel the executor runs keeps the per-element arithmetic of the
 // corresponding eager loop in nn/ops.cpp, and fusion only merges memory
-// passes (it never reassociates per-element math). The one deliberate
-// exception is k_group_norm's mean/variance reduction, which interleaves
-// four double-precision accumulator chains to hide FP-add latency — a
-// reassociation of double partials whose effect on the fp32 outputs is
-// below measurement in practice (tests assert planned == eager to 1e-5;
-// the bench observes 0.0 on the shipped configs).
+// passes (it never reassociates per-element math). There are two
+// documented exceptions, both planned-only (the eager ops, and so
+// training, are untouched):
+//   1. k_group_norm's mean/variance reduction interleaves four
+//      double-precision accumulator chains to hide FP-add latency — a
+//      reassociation of double partials whose effect on the fp32 outputs
+//      is below measurement in practice.
+//   2. SiLU and sigmoid (kernels and fused epilogues) take exp from k_exp,
+//      an eight-lane vector exp evaluated in double and rounded to float
+//      once, instead of std::exp: within 1 ulp of it, and the same bits
+//      for a value at any position (tails run padded through the same
+//      code).
+// Tests assert planned == eager to 1e-5; golden_regression pins the
+// served outputs.
+//
+// Conv2d does not run im2col: when the product takes PackedA's blocked
+// path, k_conv2d packs each sample's patch matrix straight from NCHW into
+// the GEMM micro-kernel's 16-column B panels (nn::im2col_panels) in the
+// op's scratch, a cache-sized block of columns at a time, runs
+// PackedA::run_panels over them with no pack_b copy, and adds the bias in
+// the last K-block's write-out. K-blocking, the FMA
+// chain and the (c + acc) + bias order are those of im2col + gemm + a
+// bias pass, so conv outputs are bit-identical to it.
 #pragma once
 
 #include <cstdint>
@@ -79,8 +96,9 @@ struct Op {
   TensorId out = kNoTensor;
   int i0 = 0, i1 = 0, i2 = 0, i3 = 0;
   float f0 = 0.0f, f1 = 0.0f;
-  // Conv im2col scratch (kdim * npix floats, per-sample), arena-assigned by
-  // plan_memory(); 0 floats for 1x1 stride-1 unpadded convs.
+  // Conv patch scratch (nn::panel_floats(kdim, npix) floats, per-sample:
+  // kdim * npix when npix % 16 == 0), arena-assigned by plan_memory(); 0
+  // floats for 1x1 stride-1 unpadded convs.
   size_t scratch_off = 0;
   size_t scratch_floats = 0;
 };

@@ -11,6 +11,82 @@ namespace {
 
 // Same elementwise dispatch grain as nn/ops.cpp.
 constexpr int64_t kEwGrain = 1 << 13;
+// Patch floats k_conv2d packs before multiplying them (1 MiB): small enough
+// to stay in a core's L2 from the packing pass to the GEMM that reads it.
+constexpr int64_t kConvBlockFloats = 1 << 18;
+
+// Eight-lane vectors (GCC/Clang vector extensions, the idiom of the GEMM
+// micro-kernel): the compiler maps them onto whatever SIMD width the
+// target has.
+typedef float V8f __attribute__((vector_size(8 * sizeof(float))));
+typedef double V8d __attribute__((vector_size(8 * sizeof(double))));
+typedef int64_t V8i __attribute__((vector_size(8 * sizeof(int64_t))));
+
+// exp of eight floats, evaluated in double and rounded to float once.
+//
+// x is clamped to [-110, 100] — past either end the float result is 0 or
+// +inf anyway, and NaN fails both comparisons so it passes through and
+// stays NaN. Then x = k ln2 + r with |r| <= ln2/2 (k rounded by the 1.5 *
+// 2^52 shifter, whose low mantissa bits then hold k; ln2 split so k * hi
+// is exact), exp(r) from its degree-11 Taylor polynomial (truncation below
+// 1e-14 relative, far under the final float rounding) and 2^k written into
+// the exponent field. The one float rounding is the conversion, so results
+// are correctly rounded except within ~1e-14 of a tie, and subnormals come
+// out correctly rounded too.
+inline V8f vexp8(V8f xf) {
+  constexpr double kShift = 0x1.8p52;
+  constexpr double kLog2e = 0x1.71547652b82fep0;
+  constexpr double kLn2Hi = 0x1.62e42feep-1;
+  constexpr double kLn2Lo = 0x1.a39ef35793c76p-33;
+  const V8d lo = V8d{} - 110.0, hi = V8d{} + 100.0;
+  V8d x = __builtin_convertvector(xf, V8d);
+  x = x < lo ? lo : x;
+  x = x > hi ? hi : x;
+  const V8d shifted = x * kLog2e + kShift;
+  const V8d k = shifted - kShift;
+  const V8d r = (x - k * kLn2Hi) - k * kLn2Lo;
+  V8d p = V8d{} + 1.0 / 39916800;  // 1/11!
+  p = p * r + 1.0 / 3628800;
+  p = p * r + 1.0 / 362880;
+  p = p * r + 1.0 / 40320;
+  p = p * r + 1.0 / 5040;
+  p = p * r + 1.0 / 720;
+  p = p * r + 1.0 / 120;
+  p = p * r + 1.0 / 24;
+  p = p * r + 1.0 / 6;
+  p = p * r + 0.5;
+  p = p * r + 1.0;
+  p = p * r + 1.0;
+  // Bits of `shifted` end in 2^51 + k; adding the bias and shifting by 52
+  // leaves exactly (k + 1023) << 52, the double 2^k.
+  const V8i scale_bits = ((V8i)shifted + 1023) << 52;
+  return __builtin_convertvector(p * (V8d)scale_bits, V8f);
+}
+
+// out[i] = f(a[i]) eight lanes at a time; the tail runs zero-padded through
+// the same f, so no element ever takes a different code path. `a` may
+// equal `out`.
+template <class F>
+void map8(const float* a, float* out, size_t n, F f) {
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    V8f v;
+    __builtin_memcpy(&v, a + i, sizeof(v));
+    v = f(v);
+    __builtin_memcpy(out + i, &v, sizeof(v));
+  }
+  if (i < n) {
+    V8f v{};
+    __builtin_memcpy(&v, a + i, (n - i) * sizeof(float));
+    v = f(v);
+    __builtin_memcpy(out + i, &v, (n - i) * sizeof(float));
+  }
+}
+
+// The eager expressions x / (1 + exp(-x)) and 1 / (1 + exp(-x)), in float,
+// with vexp8 in place of std::exp.
+inline V8f silu8(V8f x) { return x / (1.0f + vexp8(-x)); }
+inline V8f sigmoid8(V8f x) { return 1.0f / (1.0f + vexp8(-x)); }
 
 }  // namespace
 
@@ -19,7 +95,7 @@ void apply_post_inplace(PostOp post, float* p, size_t n) {
     case PostOp::kNone:
       return;
     case PostOp::kSiLU:
-      for (size_t i = 0; i < n; ++i) p[i] = p[i] / (1.0f + std::exp(-p[i]));
+      map8(p, p, n, silu8);
       return;
     case PostOp::kRelu:
       for (size_t i = 0; i < n; ++i) p[i] = p[i] > 0 ? p[i] : 0.0f;
@@ -28,14 +104,14 @@ void apply_post_inplace(PostOp post, float* p, size_t n) {
       for (size_t i = 0; i < n; ++i) p[i] = std::tanh(p[i]);
       return;
     case PostOp::kSigmoid:
-      for (size_t i = 0; i < n; ++i) p[i] = 1.0f / (1.0f + std::exp(-p[i]));
+      map8(p, p, n, sigmoid8);
       return;
   }
 }
 
-void k_silu(const float* a, float* out, size_t n) {
-  for (size_t i = 0; i < n; ++i) out[i] = a[i] / (1.0f + std::exp(-a[i]));
-}
+void k_exp(const float* a, float* out, size_t n) { map8(a, out, n, vexp8); }
+
+void k_silu(const float* a, float* out, size_t n) { map8(a, out, n, silu8); }
 
 void k_relu(const float* a, float* out, size_t n) {
   for (size_t i = 0; i < n; ++i) out[i] = a[i] > 0 ? a[i] : 0.0f;
@@ -46,7 +122,7 @@ void k_tanh(const float* a, float* out, size_t n) {
 }
 
 void k_sigmoid(const float* a, float* out, size_t n) {
-  for (size_t i = 0; i < n; ++i) out[i] = 1.0f / (1.0f + std::exp(-a[i]));
+  map8(a, out, n, sigmoid8);
 }
 
 void k_clamp(const float* a, float* out, size_t n, float lo, float hi) {
@@ -103,9 +179,30 @@ void k_slice_channels(const float* a, float* out, int n, size_t stride_in,
 void k_conv2d(const float* x, int n, int c, int h, int w, const PackedA& pw,
               int f, int kh, int kw, int stride, int pad, int ho, int wo,
               const float* bias, float* col, float* out) {
-  const int kdim = c * kh * kw;
   const int64_t npix = static_cast<int64_t>(ho) * wo;
   const bool fast_1x1 = kh == 1 && kw == 1 && stride == 1 && pad == 0;
+  if (!fast_1x1 && pw.blocked(npix)) {
+    // Patches go straight into B-panel layout and the bias rides the last
+    // K-block's write-out: the same products and sums as im2col + run +
+    // the bias pass below, without the two intermediate copies. Columns are
+    // packed and multiplied a block at a time, the block sized to stay
+    // cache-resident between the two (the whole plane for the UNet's
+    // shapes; the 64x64 decoder convs take several).
+    const int64_t kdim = static_cast<int64_t>(c) * kh * kw;
+    // Whole 16-column panels: each block starts on a panel boundary.
+    const int64_t block =
+        std::max<int64_t>(16, kConvBlockFloats / kdim / 16 * 16);
+    for (int ni = 0; ni < n; ++ni) {
+      const float* xi = x + static_cast<size_t>(ni) * c * h * w;
+      float* oi = out + static_cast<size_t>(ni) * f * npix;
+      for (int64_t j0 = 0; j0 < npix; j0 += block) {
+        const int64_t j1 = std::min(npix, j0 + block);
+        im2col_panels(xi, c, h, w, kh, kw, stride, pad, ho, wo, j0, j1, col);
+        pw.run_panels(j1 - j0, col, bias, oi + j0, npix);
+      }
+    }
+    return;
+  }
   for (int ni = 0; ni < n; ++ni) {
     const float* xplane = x + static_cast<size_t>(ni) * c * h * w;
     const float* patches = xplane;
@@ -128,7 +225,6 @@ void k_conv2d(const float* x, int n, int c, int h, int w, const PackedA& pw,
           }
         });
   }
-  (void)kdim;
 }
 
 void k_linear(const float* x, int n, int k, int m, const float* w,

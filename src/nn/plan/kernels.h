@@ -2,7 +2,9 @@
 //
 // Every loop here is a verbatim clone of the corresponding eager forward in
 // nn/ops.cpp (same expressions, same accumulation order, same parallel
-// grain), so a planned forward is bit-identical to the eager tape path.
+// grain), so a planned forward is bit-identical to the eager tape path —
+// except for the documented exceptions listed in ir.h (group-norm
+// reductions, and the vector exp under SiLU/sigmoid).
 // Fused epilogues (PostOp, group-norm) run as separate in-place passes over
 // the already-written output — the values the eager path would have stored
 // and re-read — never as re-associated arithmetic.
@@ -21,6 +23,13 @@ namespace dcdiff::nn::plan {
 
 // In-place activation epilogue (fusion); PostOp::kNone is a no-op.
 void apply_post_inplace(PostOp post, float* p, size_t n);
+
+// out[i] = exp(a[i]), eight lanes at a time: evaluated in double and
+// rounded to float once, so within 1 ulp of std::exp (the eager ops'
+// exp). A pure per-element function — the tail is run padded through the
+// same vector code, so a value gives the same bits at any position. SiLU
+// and sigmoid (kernels and epilogues) use it; nothing else does.
+void k_exp(const float* a, float* out, size_t n);
 
 void k_silu(const float* a, float* out, size_t n);
 void k_relu(const float* a, float* out, size_t n);
@@ -45,7 +54,11 @@ void k_slice_channels(const float* a, float* out, int n, size_t stride_in,
                       size_t stride_out, size_t skip);
 
 // out (n,f,ho,wo) = conv2d(x (n,c,h,w), packed W) + bias; `col` is the
-// im2col scratch (kdim * npix floats; unused for 1x1 stride-1 unpadded).
+// patch scratch, nn::panel_floats(kdim, npix) floats (kdim * npix when npix
+// is a multiple of 16; unused for 1x1 stride-1 unpadded). When the product
+// takes PackedA's blocked path the patches are packed straight into B-panel
+// layout (nn::im2col_panels) and the bias is added in the GEMM write-out;
+// otherwise im2col + PackedA::run + a bias pass. Both give the same bits.
 void k_conv2d(const float* x, int n, int c, int h, int w, const PackedA& pw,
               int f, int kh, int kw, int stride, int pad, int ho, int wo,
               const float* bias, float* col, float* out);

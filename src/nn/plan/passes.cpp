@@ -4,6 +4,8 @@
 #include <limits>
 #include <vector>
 
+#include "nn/gemm.h"
+
 namespace dcdiff::nn::plan {
 namespace {
 
@@ -189,10 +191,10 @@ size_t plan_memory(Graph* g) {
           kh == 1 && kw == 1 && op.i0 == 1 && op.i1 == 0;
       if (!fast_1x1) {
         const TensorInfo& x = g->tensors[static_cast<size_t>(op.in[0])];
-        const size_t kdim = static_cast<size_t>(x.shape[1]) * kh * kw;
-        const size_t npix =
-            static_cast<size_t>(out.shape[2]) * out.shape[3];
-        op.scratch_floats = kdim * npix;
+        const int64_t kdim = static_cast<int64_t>(x.shape[1]) * kh * kw;
+        const int64_t npix =
+            static_cast<int64_t>(out.shape[2]) * out.shape[3];
+        op.scratch_floats = static_cast<size_t>(panel_floats(kdim, npix));
         op.scratch_off = alloc(op.scratch_floats);
       }
     }

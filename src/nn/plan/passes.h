@@ -26,7 +26,7 @@ struct FusionStats {
 // so fused execution stays bit-identical to eager.
 FusionStats fuse_graph(Graph* g);
 
-// Assigns every live kArena tensor (and per-conv im2col scratch) an offset
+// Assigns every live kArena tensor (and per-conv patch scratch) an offset
 // into one shared arena via interval liveness + best-fit free-list reuse.
 // Graph outputs are pinned live to the end. Returns the arena size in
 // floats; offsets are 64-byte aligned.

@@ -49,7 +49,19 @@ const char* kind_name(OpKind k) {
   return "?";
 }
 
-// DCDIFF_PLAN_PROFILE=1: per-run table of wall time by op kind on stderr.
+const char* post_name(PostOp p) {
+  switch (p) {
+    case PostOp::kNone: return "post.none";
+    case PostOp::kSiLU: return "post.silu";
+    case PostOp::kRelu: return "post.relu";
+    case PostOp::kTanh: return "post.tanh";
+    case PostOp::kSigmoid: return "post.sigmoid";
+  }
+  return "post.?";
+}
+
+// DCDIFF_PLAN_PROFILE=1: per-run table of wall time by op kind on stderr,
+// fused activation epilogues as their own post.* rows.
 // Diagnostic only (adds two clock reads per op); read once per process.
 bool profile_enabled() {
   static const bool on = obs::env_int("DCDIFF_PLAN_PROFILE", 0) != 0;
@@ -135,6 +147,7 @@ void Plan::run(ExecArena& arena, const std::vector<const float*>& inputs,
     float* out = base + ot.offset;
     const float* a = resolve(op.in[0], base, inputs);
     const double t0 = profile_enabled() ? now_us() : 0;
+    double fused_gn_us = 0;  // profiled time of a conv's fused group norm
     switch (op.kind) {
       case OpKind::kConv2d: {
         const TensorInfo& xt = graph_.tensors[static_cast<size_t>(op.in[0])];
@@ -149,8 +162,10 @@ void Plan::run(ExecArena& arena, const std::vector<const float*>& inputs,
           const size_t nin = op.in.size();
           const float* gamma = resolve(op.in[nin - 2], base, inputs);
           const float* beta = resolve(op.in[nin - 1], base, inputs);
+          const double g0 = profile_enabled() ? now_us() : 0;
           k_group_norm(out, gamma, beta, out, ot.shape[0], ot.shape[1],
                        op.i3, inner_of(ot), op.f0);
+          if (profile_enabled()) fused_gn_us = now_us() - g0;
         }
         break;
       }
@@ -252,11 +267,28 @@ void Plan::run(ExecArena& arena, const std::vector<const float*>& inputs,
                         ot.numel / static_cast<size_t>(ot.shape[0]));
         break;
     }
-    apply_post_inplace(op.post, out, ot.numel);
     if (profile_enabled()) {
+      // Fused work is booked under what it is, not under its producer: a
+      // conv's group norm under group_norm, an activation epilogue under
+      // its own post.* row.
+      const double t1 = now_us();
+      apply_post_inplace(op.post, out, ot.numel);
+      const double t2 = now_us();
       auto& slot = prof[kind_name(op.kind)];
       slot.first++;
-      slot.second += now_us() - t0;
+      slot.second += t1 - t0 - fused_gn_us;
+      if (op.fused_gn) {
+        auto& gn = prof[kind_name(OpKind::kGroupNorm)];
+        gn.first++;
+        gn.second += fused_gn_us;
+      }
+      if (op.post != PostOp::kNone) {
+        auto& post = prof[post_name(op.post)];
+        post.first++;
+        post.second += t2 - t1;
+      }
+    } else {
+      apply_post_inplace(op.post, out, ot.numel);
     }
   }
   if (profile_enabled()) {

@@ -18,11 +18,17 @@
 //   * Plan build failures surface as a typed Status, never an exception.
 //   * Replica-sharded serving works with per-replica plans (this suite runs
 //     under the `concurrency` CTest label; a TSan build exercises it).
+//   * The vector kernels keep their contracts: the exp under SiLU/sigmoid
+//     is within 1 ulp of std::exp and position-independent, and the
+//     panel-packed conv is bit-exact against im2col + gemm + bias, inline
+//     and on a 3-thread pool.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
+#include <limits>
 #include <future>
 #include <memory>
 #include <stdexcept>
@@ -31,8 +37,11 @@
 #include "core/pipeline.h"
 #include "data/datasets.h"
 #include "jpeg/codec.h"
+#include "nn/gemm.h"
 #include "nn/plan/builder.h"
 #include "nn/plan/cache.h"
+#include "nn/plan/kernels.h"
+#include "nn/threadpool.h"
 #include "nn/workspace.h"
 #include "obs/metrics.h"
 #include "serve/server.h"
@@ -244,6 +253,232 @@ TEST_F(PlanTest, SteadyStatePlannedForwardAllocatesNothing) {
   EXPECT_EQ(obs::counter("plan.arena_allocs").value(), arena_allocs_before);
   EXPECT_EQ(nn::Workspace::total_blocks_allocated(), ws_blocks_before);
   EXPECT_GT(obs::gauge("plan.arena_bytes").value(), 0.0);
+}
+
+// ---- vector kernels: the exp under SiLU/sigmoid, the panel-packed conv ----
+
+uint32_t float_bits(float v) {
+  uint32_t b;
+  std::memcpy(&b, &v, sizeof(b));
+  return b;
+}
+
+float bits_float(uint32_t b) {
+  float v;
+  std::memcpy(&v, &b, sizeof(v));
+  return v;
+}
+
+TEST(PlanKernelTest, VectorExpWithinOneUlpOfStdExp) {
+  // Every 257th float of [-110, 90] (both ends included): exp is positive,
+  // so the ulp distance is the distance between bit patterns.
+  std::vector<float> xs;
+  for (uint32_t b = 0; b <= float_bits(110.0f); b += 257) {
+    xs.push_back(-bits_float(b));
+  }
+  for (uint32_t b = 0; b <= float_bits(90.0f); b += 257) {
+    xs.push_back(bits_float(b));
+  }
+  xs.push_back(-110.0f);
+  xs.push_back(90.0f);
+  std::vector<float> got(xs.size());
+  nn::plan::k_exp(xs.data(), got.data(), xs.size());
+  size_t off_by_one = 0;
+  for (size_t i = 0; i < xs.size(); ++i) {
+    const uint32_t want = float_bits(std::exp(xs[i]));
+    const uint32_t have = float_bits(got[i]);
+    const uint32_t ulps = want > have ? want - have : have - want;
+    ASSERT_LE(ulps, 1u) << "x = " << xs[i] << " got " << got[i]
+                        << " want " << std::exp(xs[i]);
+    off_by_one += ulps;
+  }
+  // Rounded once from double, the result is almost always the correctly
+  // rounded one; std::exp is too, so the two rarely differ at all.
+  EXPECT_LT(off_by_one, xs.size() / 100);
+}
+
+TEST(PlanKernelTest, VectorExpSpecialValues) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const std::vector<float> xs = {nan,    -inf,  inf,    89.0f,  100.0f,
+                                 1e30f,  -104.0f, -150.0f, -1e30f, 0.0f,
+                                 -0.0f};
+  std::vector<float> got(xs.size());
+  nn::plan::k_exp(xs.data(), got.data(), xs.size());
+  EXPECT_TRUE(std::isnan(got[0]));
+  EXPECT_EQ(float_bits(got[1]), float_bits(0.0f));
+  EXPECT_EQ(got[2], inf);
+  EXPECT_EQ(got[3], inf);
+  EXPECT_EQ(got[4], inf);
+  EXPECT_EQ(got[5], inf);
+  EXPECT_EQ(float_bits(got[6]), float_bits(0.0f));
+  EXPECT_EQ(float_bits(got[7]), float_bits(0.0f));
+  EXPECT_EQ(float_bits(got[8]), float_bits(0.0f));
+  EXPECT_EQ(got[9], 1.0f);
+  EXPECT_EQ(got[10], 1.0f);
+
+  // Deep underflow: exp(x) below FLT_MIN is 0 or the correctly rounded
+  // subnormal (double exp rounded to float), never flushed early.
+  std::vector<float> deep;
+  for (float x = -104.5f; x < -87.0f; x += 0.0137f) deep.push_back(x);
+  std::vector<float> out(deep.size());
+  nn::plan::k_exp(deep.data(), out.data(), deep.size());
+  size_t subnormals = 0;
+  for (size_t i = 0; i < deep.size(); ++i) {
+    const float want = static_cast<float>(std::exp(static_cast<double>(deep[i])));
+    EXPECT_EQ(float_bits(out[i]), float_bits(want)) << "x = " << deep[i];
+    if (std::fpclassify(out[i]) == FP_SUBNORMAL) ++subnormals;
+  }
+  EXPECT_GT(subnormals, deep.size() / 2);
+}
+
+TEST(PlanKernelTest, SiluGivesSameBitsAtEveryPosition) {
+  // A value's SiLU (and sigmoid) must not depend on where it sits: full
+  // vector lanes and the padded tail run the same code.
+  const std::vector<float> values = {-91.25f, -17.5f, -3.0f,  -0.7f,
+                                     0.0f,    1e-3f,  0.5f,   4.25f,
+                                     30.0f,   88.0f};
+  for (float v : values) {
+    float want_silu = 0, want_sig = 0;
+    nn::plan::k_silu(&v, &want_silu, 1);
+    nn::plan::k_sigmoid(&v, &want_sig, 1);
+    // Close to the std::exp form the eager op computes.
+    EXPECT_NEAR(want_silu, v / (1.0f + std::exp(-v)),
+                1e-6f * (1.0f + std::fabs(v)));
+    for (size_t n = 1; n <= 40; ++n) {
+      for (size_t pos = 0; pos < n; ++pos) {
+        std::vector<float> in(n);
+        for (size_t i = 0; i < n; ++i) in[i] = 0.37f * static_cast<float>(i) - 5.0f;
+        in[pos] = v;
+        std::vector<float> silu(n), sig(n);
+        nn::plan::k_silu(in.data(), silu.data(), n);
+        nn::plan::k_sigmoid(in.data(), sig.data(), n);
+        nn::plan::apply_post_inplace(nn::plan::PostOp::kSiLU, in.data(), n);
+        ASSERT_EQ(float_bits(silu[pos]), float_bits(want_silu))
+            << "v " << v << " n " << n << " pos " << pos;
+        ASSERT_EQ(float_bits(in[pos]), float_bits(want_silu))
+            << "epilogue, v " << v << " n " << n << " pos " << pos;
+        ASSERT_EQ(float_bits(sig[pos]), float_bits(want_sig))
+            << "sigmoid, v " << v << " n " << n << " pos " << pos;
+      }
+    }
+  }
+}
+
+struct ConvCase {
+  int n, c, f, hw, k, stride, pad;
+};
+
+// k_conv2d against the unfused reference: im2col, gemm(), then a bias pass.
+// Returns whether the case ran the panel-packed path.
+bool expect_conv_bit_exact(const ConvCase& cc) {
+  const int ho = (cc.hw + 2 * cc.pad - cc.k) / cc.stride + 1;
+  const int64_t kdim = static_cast<int64_t>(cc.c) * cc.k * cc.k;
+  const int64_t npix = static_cast<int64_t>(ho) * ho;
+  std::vector<float> x(static_cast<size_t>(cc.n) * cc.c * cc.hw * cc.hw);
+  std::vector<float> w(static_cast<size_t>(cc.f * kdim));
+  std::vector<float> bias(static_cast<size_t>(cc.f));
+  uint32_t state = 12345u + static_cast<uint32_t>(kdim * 31 + npix);
+  auto next = [&state] {
+    state = state * 1664525u + 1013904223u;
+    return static_cast<float>(state >> 8) / 16777216.0f - 0.5f;
+  };
+  for (float& v : x) v = next();
+  for (float& v : w) v = next();
+  for (float& v : bias) v = next();
+
+  std::vector<float> ref(static_cast<size_t>(cc.n * cc.f * npix));
+  std::vector<float> col(static_cast<size_t>(kdim * npix));
+  for (int ni = 0; ni < cc.n; ++ni) {
+    const float* xp = x.data() + static_cast<size_t>(ni) * cc.c * cc.hw * cc.hw;
+    const bool direct = cc.k == 1 && cc.stride == 1 && cc.pad == 0;
+    if (!direct) {
+      nn::im2col(xp, cc.c, cc.hw, cc.hw, cc.k, cc.k, cc.stride, cc.pad, ho, ho,
+                 col.data());
+    }
+    float* rp = ref.data() + static_cast<size_t>(ni) * cc.f * npix;
+    nn::gemm(false, false, cc.f, npix, kdim, w.data(), kdim,
+             direct ? xp : col.data(), npix, 0.0f, rp, npix);
+    for (int fi = 0; fi < cc.f; ++fi) {
+      for (int64_t i = 0; i < npix; ++i) rp[fi * npix + i] += bias[fi];
+    }
+  }
+
+  const nn::PackedA packed(false, cc.f, kdim, w.data(), kdim);
+  std::vector<float> scratch(static_cast<size_t>(nn::panel_floats(kdim, npix)));
+  std::vector<float> out(ref.size(), -7.0f);
+  nn::plan::k_conv2d(x.data(), cc.n, cc.c, cc.hw, cc.hw, packed, cc.f, cc.k,
+                     cc.k, cc.stride, cc.pad, ho, ho, bias.data(),
+                     scratch.data(), out.data());
+  size_t mismatches = 0;
+  for (size_t i = 0; i < ref.size(); ++i) {
+    mismatches += float_bits(out[i]) != float_bits(ref[i]);
+  }
+  EXPECT_EQ(mismatches, 0u)
+      << "n " << cc.n << " c " << cc.c << " f " << cc.f << " hw " << cc.hw
+      << " k " << cc.k << " stride " << cc.stride << " pad " << cc.pad;
+  return !(cc.k == 1 && cc.stride == 1 && cc.pad == 0) && packed.blocked(npix);
+}
+
+std::vector<ConvCase> conv_cases() {
+  // Every (c, f, spatial) triple, with kernel size, stride, padding and
+  // batch cycling through their values so each pairs with all shapes.
+  // c = 96 at k = 3 gives four K-blocks (kdim 864), c = 16 at k = 3 one
+  // (144); spatial 5, 18 and 33 leave a partial 16-column panel.
+  std::vector<ConvCase> cases;
+  int i = 0;
+  for (int c : {3, 16, 96}) {
+    for (int f : {3, 4, 32, 64}) {
+      for (int hw : {5, 8, 16, 18, 33}) {
+        const int k = i % 4 < 3 ? 3 : 1;
+        const int stride = 1 + (i / 2) % 2;
+        const int pad = k == 3 ? (i / 3) % 2 : (i / 5) % 2;
+        cases.push_back({1 + i % 2, c, f, hw, k, stride, pad});
+        ++i;
+      }
+    }
+  }
+  // 3x3 stride 1 pad 1 — the UNet's shape — at two K-blocks (kdim 288),
+  // and a plane packed in several column blocks, the last ending mid-panel.
+  cases.push_back({2, 32, 32, 16, 3, 1, 1});
+  cases.push_back({2, 32, 64, 18, 3, 1, 1});
+  cases.push_back({1, 96, 32, 33, 3, 1, 1});
+  return cases;
+}
+
+void expect_all_convs_bit_exact() {
+  int paneled = 0;
+  const std::vector<ConvCase> cases = conv_cases();
+  for (const ConvCase& cc : cases) paneled += expect_conv_bit_exact(cc);
+  // Most cases take the panel path; the rest (1x1 direct, products below
+  // the small-problem cutoff) keep im2col + PackedA::run's routing.
+  EXPECT_GT(paneled, static_cast<int>(cases.size()) / 2);
+  EXPECT_LT(paneled, static_cast<int>(cases.size()));
+}
+
+TEST(PlanKernelTest, PanelPackedConvIsBitExactInline) {
+  nn::ThreadPool inline_pool(1);
+  nn::PoolBinding bind(&inline_pool);
+  expect_all_convs_bit_exact();
+}
+
+TEST(PlanKernelTest, NaiveGemmModeKeepsIm2colRouting) {
+  // DCDIFF_GEMM_NAIVE sends every product through the reference loop; the
+  // planned conv must follow it (no panel path) and still match.
+  nn::set_gemm_naive(true);
+  int paneled = 0;
+  for (const ConvCase& cc : {ConvCase{1, 16, 32, 18, 3, 1, 1},
+                             ConvCase{2, 96, 4, 8, 3, 2, 1}}) {
+    paneled += expect_conv_bit_exact(cc);
+  }
+  nn::set_gemm_naive(false);
+  EXPECT_EQ(paneled, 0);
+}
+
+TEST(PlanKernelTest, PanelPackedConvIsBitExactOnThreePool) {
+  nn::ThreadPool pool(3);
+  nn::PoolBinding bind(&pool);
+  expect_all_convs_bit_exact();
 }
 
 // ---- typed build failures ----
