@@ -162,6 +162,32 @@ void BM_Gemm(benchmark::State& state) {
 }
 BENCHMARK(BM_Gemm)->Arg(32)->Arg(128)->Arg(512);
 
+// BM_GemmOneThread is the micro-kernel on one thread at the planned UNet's
+// product shape (k = 288: a 3x3 conv over 32 channels, n = 256: a 16x16
+// plane) for m = 4 (a row-tail panel), 16 (one full AVX-512 tile) and 32,
+// 64 output channels; the GFLOP/s counter is its achieved rate.
+void BM_GemmOneThread(benchmark::State& state) {
+  const int64_t m = state.range(0), n = 256, k = 288;
+  Rng rng(5);
+  std::vector<float> a(static_cast<size_t>(m * k));
+  std::vector<float> b(static_cast<size_t>(k * n));
+  std::vector<float> c(static_cast<size_t>(m * n));
+  for (float& v : a) v = rng.normal();
+  for (float& v : b) v = rng.normal();
+  nn::ThreadPool one(1);
+  nn::PoolBinding bind(&one);
+  for (auto _ : state) {
+    nn::gemm(false, false, m, n, k, a.data(), k, b.data(), n, 0.0f, c.data(),
+             n);
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["GFLOP/s"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) * 2.0 * m * n * k * 1e-9,
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_GemmOneThread)->Arg(4)->Arg(16)->Arg(32)->Arg(64);
+
 void BM_GemmNaive(benchmark::State& state) {
   const int64_t n = state.range(0);
   Rng rng(5);
@@ -252,8 +278,10 @@ BENCHMARK(BM_GroupNorm);
 // BM_PlanConv2d runs the planned conv2d (panel-packed patches, bias in the
 // GEMM write-out) at rxbench's conv shapes: u16c32 and u8c64 are UNet
 // layers at batch 2 (one image x ensemble 2), d64c32 an AE decoder layer
-// at batch 1, on one thread. BM_PlanSilu is the vectorized SiLU epilogue
-// over 16K floats.
+// at batch 1, on one thread. conv_out (UNet 32->4 at 16x16, batch 2) and
+// dec_out (AE decoder 16->3 at 64x64, batch 1) are the served products
+// whose 4 and 3 output channels run the micro-kernel's row tail.
+// BM_PlanSilu is the vectorized SiLU epilogue over 16K floats.
 
 struct PlanConvShape {
   int n, c, f, hw;
@@ -261,8 +289,10 @@ struct PlanConvShape {
 
 void BM_PlanConv2d(benchmark::State& state) {
   static const PlanConvShape kShapes[] = {
-      {2, 32, 32, 16}, {2, 64, 64, 8}, {1, 32, 16, 64}};
-  static const char* const kTags[] = {"u16c32", "u8c64", "d64c32"};
+      {2, 32, 32, 16}, {2, 64, 64, 8}, {1, 32, 16, 64},
+      {2, 32, 4, 16},  {1, 16, 3, 64}};
+  static const char* const kTags[] = {"u16c32", "u8c64", "d64c32",
+                                      "conv_out", "dec_out"};
   const PlanConvShape s = kShapes[state.range(0)];
   state.SetLabel(kTags[state.range(0)]);
   const int64_t kdim = static_cast<int64_t>(s.c) * 9;
@@ -288,7 +318,7 @@ void BM_PlanConv2d(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * s.n * s.f * npix * kdim * 2);
 }
-BENCHMARK(BM_PlanConv2d)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_PlanConv2d)->DenseRange(0, 4);
 
 void BM_PlanSilu(benchmark::State& state) {
   Rng rng(10);

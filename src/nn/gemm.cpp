@@ -12,14 +12,21 @@ namespace dcdiff::nn {
 
 namespace {
 
-// Register tile: MR x NR accumulators. 6x16 fits the 16 vector registers of
-// AVX2 (12 accumulator vectors + A broadcast + B loads) and divides evenly
-// into NEON/SSE widths; the compiler vectorizes the j-loop at whatever width
-// the target offers.
+// Register tile: MR x NR accumulators, each row one NR-lane vector. On
+// AVX-512 a row is one of its 32 registers, and MR = 16 keeps 16 independent
+// FMA chains in flight (two FMA ports at a four-cycle latency need at least
+// eight) beside the B row and the A broadcast. Elsewhere a row splits into
+// two (AVX2) or four (SSE/NEON) registers, so MR = 6 keeps the tile inside
+// the register file. The compiler vectorizes each row at whatever width the
+// target offers.
+#if defined(__AVX512F__)
+constexpr int64_t MR = 16;
+#else
 constexpr int64_t MR = 6;
+#endif
 constexpr int64_t NR = 16;
 // K-block: packed panels of both operands for one block stay L1/L2-resident
-// (KC * (MR + NR) floats ~ 22 KiB per in-flight tile pair).
+// (KC * (MR + NR) floats, at most 32 KiB, per in-flight tile pair).
 constexpr int64_t KC = 256;
 // N-block: bounds the packed-B panel at KC * NC floats (= 480 KiB).
 constexpr int64_t NC = 480;  // multiple of NR
@@ -67,8 +74,8 @@ void gemm_naive(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
 
 // Packs rows [0, m) x cols [pc, pc + kc) of A_op into MR-row panels:
 // panel ir holds rows [ir*MR, ir*MR + MR), stored k-major as
-// ap[ir*kc*MR + p*MR + i], zero-padded past the last real row so the
-// micro-kernel always runs a full tile.
+// ap[ir*kc*MR + p*MR + i], zero-padded past the last real row so a
+// micro-kernel of any height reads only real rows or zeros.
 void pack_a(bool trans_a, const float* a, int64_t lda, int64_t m, int64_t pc,
             int64_t kc, float* ap) {
   for (int64_t i0 = 0; i0 < m; i0 += MR) {
@@ -99,39 +106,50 @@ void pack_b(bool trans_b, const float* b, int64_t ldb, int64_t pc, int64_t kc,
   }
 }
 
-// One MR x NR tile over a kc-deep packed panel pair.
+// One R x NR tile over a kc-deep packed panel pair: rows [0, R) of an
+// MR-row A panel (R <= MR; rows past the real ones are zero padding) against
+// one B panel, storing rows [0, mr) and columns [0, nr) of it.
 //
-// The accumulator is written as MR explicit NR-lane vectors (GCC/Clang
-// vector extensions) rather than a float[MR][NR] array: auto-vectorizers
+// The accumulator is written as R explicit NR-lane vectors (GCC/Clang
+// vector extensions) rather than a float[R][NR] array: auto-vectorizers
 // routinely pick a narrow width for the array form (GCC 12 at
 // -march=skylake-avx512 emits 128-bit FMAs, ~1/10th of peak), whereas the
 // vector type pins each accumulator row to one AVX-512 register (or a ymm
 // pair on AVX2 -- the compiler legalizes wider-than-native vectors by
 // splitting, so this stays portable down to SSE). Loads/stores go through
 // memcpy: panel and C-row addresses are not 64-byte aligned in general.
+// Every element runs the same FMA chain whatever R is, so a row's bits do
+// not depend on the tile height that computed it.
 #if defined(__GNUC__) || defined(__clang__)
 #define DCDIFF_GEMM_VECTOR_EXT 1
 typedef float VRow __attribute__((vector_size(NR * sizeof(float))));
 #endif
 
-// `bias` (MR row values, or null) is added after the tile is combined with
+// `bias` (mr row values, or null) is added after the tile is combined with
 // C: crow = (beta * crow + acc) + bias[i], the same order as a separate
-// bias pass over the finished product.
+// bias pass over the finished product. Every loop over the R rows is
+// unrolled, so acc[] is only ever indexed by constants and the compiler
+// keeps it in registers from the first FMA to the write-out.
+template <int64_t R>
 void micro_kernel(int64_t kc, const float* __restrict ap,
                   const float* __restrict bp, float* __restrict c, int64_t ldc,
                   int64_t mr, int64_t nr, float beta,
                   const float* __restrict bias) {
 #ifdef DCDIFF_GEMM_VECTOR_EXT
-  VRow acc[MR];
-  for (int64_t i = 0; i < MR; ++i) acc[i] = VRow{};
+  VRow acc[R];
+#pragma GCC unroll 16
+  for (int64_t i = 0; i < R; ++i) acc[i] = VRow{};
   for (int64_t p = 0; p < kc; ++p) {
     VRow bv;
     __builtin_memcpy(&bv, bp + p * NR, sizeof(bv));
     const float* acol = ap + p * MR;
-    for (int64_t i = 0; i < MR; ++i) acc[i] += acol[i] * bv;
+#pragma GCC unroll 16
+    for (int64_t i = 0; i < R; ++i) acc[i] += acol[i] * bv;
   }
-  if (mr == MR && nr == NR) {
-    for (int64_t i = 0; i < MR; ++i) {
+  if (nr == NR) {
+#pragma GCC unroll 16
+    for (int64_t i = 0; i < R; ++i) {
+      if (i == mr) break;
       float* crow = c + i * ldc;
       VRow cv = acc[i];
       if (beta != 0.0f) {
@@ -143,14 +161,18 @@ void micro_kernel(int64_t kc, const float* __restrict ap,
     }
     return;
   }
-  float accs[MR][NR];
-  __builtin_memcpy(accs, acc, sizeof(accs));
+  // A partial column panel: through a stack copy, element by element.
+  float accs[R][NR];
+#pragma GCC unroll 16
+  for (int64_t i = 0; i < R; ++i) {
+    __builtin_memcpy(accs[i], &acc[i], sizeof(VRow));
+  }
 #else
-  float accs[MR][NR] = {};
+  float accs[R][NR] = {};
   for (int64_t p = 0; p < kc; ++p) {
     const float* brow = bp + p * NR;
     const float* acol = ap + p * MR;
-    for (int64_t i = 0; i < MR; ++i) {
+    for (int64_t i = 0; i < R; ++i) {
       const float av = acol[i];
       for (int64_t j = 0; j < NR; ++j) accs[i][j] += av * brow[j];
     }
@@ -164,6 +186,22 @@ void micro_kernel(int64_t kc, const float* __restrict ap,
     if (bias) {
       for (int64_t j = 0; j < nr; ++j) crow[j] += bias[i];
     }
+  }
+}
+
+using MicroKernel = void (*)(int64_t, const float*, const float*, float*,
+                             int64_t, int64_t, int64_t, float, const float*);
+
+// The tile height for a row panel with mr real rows: the smallest multiple
+// of 4 (or MR itself) that covers them, so short panels -- the last one of
+// m = 17, or all of an m = 3 or m = 4 product -- skip most of the padded
+// rows' FMAs, and m = 8 or 16 stays exact.
+template <int64_t R = 4>
+MicroKernel kernel_for(int64_t mr) {
+  if constexpr (R >= MR) {
+    return micro_kernel<MR>;
+  } else {
+    return mr <= R ? micro_kernel<R> : kernel_for<R + 4>(mr);
   }
 }
 
@@ -181,10 +219,11 @@ void run_tiles(int64_t m, int64_t nc, int64_t kc, const float* ap,
     for (int64_t t = t0; t < t1; ++t) {
       const int64_t ir = t / col_panels;
       const int64_t jr = t % col_panels;
-      micro_kernel(kc, ap + ir * kc * MR, bp + jr * b_stride,
-                   c + ir * MR * ldc + jr * NR, ldc, std::min(MR, m - ir * MR),
-                   std::min(NR, nc - jr * NR), beta,
-                   bias ? bias + ir * MR : nullptr);
+      const int64_t mr = std::min(MR, m - ir * MR);
+      kernel_for(mr)(kc, ap + ir * kc * MR, bp + jr * b_stride,
+                     c + ir * MR * ldc + jr * NR, ldc, mr,
+                     std::min(NR, nc - jr * NR), beta,
+                     bias ? bias + ir * MR : nullptr);
     }
   });
 }

@@ -1,16 +1,20 @@
 // Cache-blocked single-precision GEMM and the im2col/col2im patch
 // transforms behind conv2d/linear.
 //
-// One micro-kernel (6x16 register tile, FMA-friendly inner loop) serves
-// every matrix product in the library: conv2d forward (weights x im2col
-// patches), the conv2d input gradient (transposed weights x output
-// gradient, scattered back through col2im), the conv2d weight gradient
-// (output gradient x transposed patches), and linear forward/backward.
-// Operands are packed into contiguous K-blocked panels allocated from the
-// calling thread's Workspace; the micro-tile grid is parallelized over the
-// global thread pool. The planned conv2d skips the im2col copy: it packs
-// its patch matrix straight into B-panel layout (im2col_panels) and runs
-// PackedA::run_panels on it.
+// One micro-kernel (an MR x 16 register tile: MR = 16 rows on AVX-512, 6
+// elsewhere; FMA-friendly inner loop) serves every matrix product in the
+// library: conv2d forward (weights x im2col patches), the conv2d input
+// gradient (transposed weights x output gradient, scattered back through
+// col2im), the conv2d weight gradient (output gradient x transposed
+// patches), and linear forward/backward. Operands are packed into
+// contiguous K-blocked panels allocated from the calling thread's
+// Workspace; the micro-tile grid is parallelized over the global thread
+// pool. A row panel with fewer real rows than MR (all of an m = 3 or 4
+// product, the last panel of m = 17) runs the kernel at the smallest
+// height, a multiple of 4, that covers them; every element keeps one FMA
+// chain, so its bits never depend on the tile height. The planned conv2d
+// skips the im2col copy: it packs its patch matrix straight into B-panel
+// layout (im2col_panels) and runs PackedA::run_panels on it.
 //
 // Setting DCDIFF_GEMM_NAIVE=1 (or set_gemm_naive(true)) routes every call
 // through an unblocked reference loop instead — the A/B escape hatch for

@@ -10,8 +10,8 @@
 //
 // Every kernel the executor runs keeps the per-element arithmetic of the
 // corresponding eager loop in nn/ops.cpp, and fusion only merges memory
-// passes (it never reassociates per-element math). There are two
-// documented exceptions, both planned-only (the eager ops, and so
+// passes (it never reassociates per-element math). There are three
+// documented exceptions, all planned-only (the eager ops, and so
 // training, are untouched):
 //   1. k_group_norm's mean/variance reduction interleaves four
 //      double-precision accumulator chains to hide FP-add latency — a
@@ -22,6 +22,11 @@
 //      once, instead of std::exp: within 1 ulp of it, and the same bits
 //      for a value at any position (tails run padded through the same
 //      code).
+//   3. tanh (k_tanh and the fused kTanh epilogue, the AE decoder's last
+//      op) is an eight-lane vector tanh built on the same exp core:
+//      e / (e + 2) with e = expm1(2|x|) in double, the sign copied back,
+//      rounded to float once, instead of std::tanh. Within 1 ulp of the
+//      double tanh rounded to float, and the same bits at any position.
 // Tests assert planned == eager to 1e-5; golden_regression pins the
 // served outputs.
 //

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "nn/gemm.h"
 #include "nn/threadpool.h"
@@ -22,29 +23,27 @@ typedef float V8f __attribute__((vector_size(8 * sizeof(float))));
 typedef double V8d __attribute__((vector_size(8 * sizeof(double))));
 typedef int64_t V8i __attribute__((vector_size(8 * sizeof(int64_t))));
 
-// exp of eight floats, evaluated in double and rounded to float once.
-//
-// x is clamped to [-110, 100] — past either end the float result is 0 or
-// +inf anyway, and NaN fails both comparisons so it passes through and
-// stays NaN. Then x = k ln2 + r with |r| <= ln2/2 (k rounded by the 1.5 *
-// 2^52 shifter, whose low mantissa bits then hold k; ln2 split so k * hi
-// is exact), exp(r) from its degree-11 Taylor polynomial (truncation below
-// 1e-14 relative, far under the final float rounding) and 2^k written into
-// the exponent field. The one float rounding is the conversion, so results
-// are correctly rounded except within ~1e-14 of a tie, and subnormals come
-// out correctly rounded too.
-inline V8f vexp8(V8f xf) {
-  constexpr double kShift = 0x1.8p52;
-  constexpr double kLog2e = 0x1.71547652b82fep0;
+constexpr double kLog2e = 0x1.71547652b82fep0;
+constexpr double kShift = 0x1.8p52;
+
+// x = k ln2 + r with |r| <= ln2/2 for |x| <= 2^51: k is rounded by the
+// 1.5 * 2^52 shifter, whose low mantissa bits then hold it, and ln2 is
+// split so k * hi is exact. Returns 2^k, written into the exponent field.
+inline V8d reduce_ln2(V8d x, V8d& r) {
   constexpr double kLn2Hi = 0x1.62e42feep-1;
   constexpr double kLn2Lo = 0x1.a39ef35793c76p-33;
-  const V8d lo = V8d{} - 110.0, hi = V8d{} + 100.0;
-  V8d x = __builtin_convertvector(xf, V8d);
-  x = x < lo ? lo : x;
-  x = x > hi ? hi : x;
   const V8d shifted = x * kLog2e + kShift;
   const V8d k = shifted - kShift;
-  const V8d r = (x - k * kLn2Hi) - k * kLn2Lo;
+  r = (x - k * kLn2Hi) - k * kLn2Lo;
+  // Bits of `shifted` end in 2^51 + k; adding the bias and shifting by 52
+  // leaves exactly (k + 1023) << 52, the double 2^k.
+  return (V8d)(((V8i)shifted + 1023) << 52);
+}
+
+// q(r) with expm1(r) = q(r) * r, from the degree-11 Taylor polynomial of
+// exp (truncation below 1e-14 relative for |r| <= ln2/2, far under the
+// final float rounding).
+inline V8d expm1_over_r(V8d r) {
   V8d p = V8d{} + 1.0 / 39916800;  // 1/11!
   p = p * r + 1.0 / 3628800;
   p = p * r + 1.0 / 362880;
@@ -55,12 +54,42 @@ inline V8f vexp8(V8f xf) {
   p = p * r + 1.0 / 24;
   p = p * r + 1.0 / 6;
   p = p * r + 0.5;
-  p = p * r + 1.0;
-  p = p * r + 1.0;
-  // Bits of `shifted` end in 2^51 + k; adding the bias and shifting by 52
-  // leaves exactly (k + 1023) << 52, the double 2^k.
-  const V8i scale_bits = ((V8i)shifted + 1023) << 52;
-  return __builtin_convertvector(p * (V8d)scale_bits, V8f);
+  return p * r + 1.0;
+}
+
+// exp of eight floats, evaluated in double and rounded to float once.
+//
+// x is clamped to [-110, 100] — past either end the float result is 0 or
+// +inf anyway, and NaN fails both comparisons so it passes through and
+// stays NaN — then exp(x) = 2^k (q(r) r + 1). The one float rounding is
+// the conversion, so results are correctly rounded except within ~1e-14
+// of a tie, and subnormals come out correctly rounded too.
+inline V8f vexp8(V8f xf) {
+  const V8d lo = V8d{} - 110.0, hi = V8d{} + 100.0;
+  V8d x = __builtin_convertvector(xf, V8d);
+  x = x < lo ? lo : x;
+  x = x > hi ? hi : x;
+  V8d r;
+  const V8d scale = reduce_ln2(x, r);
+  return __builtin_convertvector((expm1_over_r(r) * r + 1.0) * scale, V8f);
+}
+
+// tanh of eight floats, evaluated in double and rounded to float once:
+// tanh(|x|) = e / (e + 2) with e = expm1(2|x|) = 2^k q(r) r + (2^k - 1),
+// then x's sign bit copied onto it. expm1 keeps small |x| accurate (k = 0
+// there, so e = q(r) r exactly as reduced), 2|x| is clamped to 40
+// (tanh(20) is 1 in double, and inf lands there too), NaN passes through,
+// and -0 stays -0.
+inline V8f vtanh8(V8f xf) {
+  const V8d x = __builtin_convertvector(xf, V8d);
+  const V8i sign = (V8i)x & (V8i{} + INT64_MIN);
+  V8d t = (V8d)((V8i)x ^ sign) * 2.0;
+  t = t > 40.0 ? V8d{} + 40.0 : t;
+  V8d r;
+  const V8d scale = reduce_ln2(t, r);
+  const V8d e = scale * (expm1_over_r(r) * r) + (scale - 1.0);
+  const V8d th = e / (e + 2.0);
+  return __builtin_convertvector((V8d)((V8i)th | sign), V8f);
 }
 
 // out[i] = f(a[i]) eight lanes at a time; the tail runs zero-padded through
@@ -101,7 +130,7 @@ void apply_post_inplace(PostOp post, float* p, size_t n) {
       for (size_t i = 0; i < n; ++i) p[i] = p[i] > 0 ? p[i] : 0.0f;
       return;
     case PostOp::kTanh:
-      for (size_t i = 0; i < n; ++i) p[i] = std::tanh(p[i]);
+      map8(p, p, n, vtanh8);
       return;
     case PostOp::kSigmoid:
       map8(p, p, n, sigmoid8);
@@ -117,9 +146,7 @@ void k_relu(const float* a, float* out, size_t n) {
   for (size_t i = 0; i < n; ++i) out[i] = a[i] > 0 ? a[i] : 0.0f;
 }
 
-void k_tanh(const float* a, float* out, size_t n) {
-  for (size_t i = 0; i < n; ++i) out[i] = std::tanh(a[i]);
-}
+void k_tanh(const float* a, float* out, size_t n) { map8(a, out, n, vtanh8); }
 
 void k_sigmoid(const float* a, float* out, size_t n) {
   map8(a, out, n, sigmoid8);

@@ -4,7 +4,7 @@
 // nn/ops.cpp (same expressions, same accumulation order, same parallel
 // grain), so a planned forward is bit-identical to the eager tape path —
 // except for the documented exceptions listed in ir.h (group-norm
-// reductions, and the vector exp under SiLU/sigmoid).
+// reductions, the vector exp under SiLU/sigmoid, and the vector tanh).
 // Fused epilogues (PostOp, group-norm) run as separate in-place passes over
 // the already-written output — the values the eager path would have stored
 // and re-read — never as re-associated arithmetic.
@@ -33,6 +33,11 @@ void k_exp(const float* a, float* out, size_t n);
 
 void k_silu(const float* a, float* out, size_t n);
 void k_relu(const float* a, float* out, size_t n);
+// out[i] = tanh(a[i]), eight lanes at a time, evaluated in double from the
+// same range reduction and polynomial as k_exp and rounded to float once:
+// within 1 ulp of the double tanh rounded to float (std::tanh on floats
+// itself errs by up to 2 ulps), and the same bits at any position. The
+// kTanh epilogue uses it too.
 void k_tanh(const float* a, float* out, size_t n);
 void k_sigmoid(const float* a, float* out, size_t n);
 void k_clamp(const float* a, float* out, size_t n, float lo, float hi);

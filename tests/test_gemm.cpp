@@ -1,5 +1,6 @@
 // The blocked GEMM compute path: kernel vs reference over a shape sweep,
-// im2col/col2im adjointness, conv2d/linear equivalence between the blocked
+// row bits independent of the register tile's height, im2col/col2im
+// adjointness, conv2d/linear equivalence between the blocked
 // and naive routes, gradient checks through the GEMM path, and workspace
 // reuse from concurrent pool workers.
 #include "nn/gemm.h"
@@ -9,6 +10,8 @@
 #include <array>
 #include <atomic>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -88,9 +91,11 @@ void run_gemm_case(bool trans_a, bool trans_b, int64_t m, int64_t n,
 }
 
 TEST(Gemm, ShapeSweepAgainstReference) {
-  // Edge shapes around the 6x16 register tile, the KC=256 K-block, and the
-  // NC=480 N-block, plus degenerate M/N/K = 1.
-  const int64_t ms[] = {1, 2, 5, 6, 7, 13, 33};
+  // Edge shapes around the register tile (6x16, or 16x16 on AVX-512, with
+  // row tails of 4, 8 and 12), the KC=256 K-block, and the NC=480 N-block,
+  // plus degenerate M/N/K = 1.
+  const int64_t ms[] = {1,  2,  3,  4,  5,  6,  7,  8,  9,  12,
+                        13, 15, 16, 17, 31, 32, 33, 48, 64};
   const int64_t ns[] = {1, 15, 16, 17, 64};
   const int64_t ks[] = {1, 7, 64, 300};
   uint64_t seed = 1;
@@ -119,6 +124,104 @@ TEST(Gemm, LargeEnoughToEngageAllBlockingLevels) {
   // the beta=1 continuation across K-blocks.
   run_gemm_case(false, false, 64, 600, 520, 0.0f, 7);
   run_gemm_case(false, true, 40, 500, 300, 1.0f, 8);
+}
+
+uint32_t float_bits(float v) {
+  uint32_t b;
+  std::memcpy(&b, &v, sizeof(b));
+  return b;
+}
+
+// B (k x n, row-major) in im2col_panels layout: 16-column panels spanning
+// every row, zero past column n.
+std::vector<float> to_panels(const std::vector<float>& b, int64_t k,
+                             int64_t n) {
+  std::vector<float> panels(static_cast<size_t>(panel_floats(k, n)), 0.0f);
+  for (int64_t p = 0; p < k; ++p) {
+    for (int64_t j = 0; j < n; ++j) {
+      panels[static_cast<size_t>((j / 16) * k * 16 + p * 16 + j % 16)] =
+          b[static_cast<size_t>(p * n + j)];
+    }
+  }
+  return panels;
+}
+
+TEST(Gemm, RowsAreIndependentOfTileGeometry) {
+  // Each output row of a blocked product must carry the same bits as that
+  // row computed alone, as a 1-row blocked product: whichever tile height
+  // ran it (a full tile or a 4/8/12-row tail) and however the compiler
+  // contracted its FMAs, every element runs the same chain. n * k > 4096
+  // keeps the 1-row calls on the blocked path; k > 256 spans two K-blocks;
+  // n = 40 ends in a partial column panel.
+  const int64_t n = 40, k = 300;
+  uint64_t seed = 200;
+  for (int64_t m : {3, 4, 5, 8, 12, 16, 17, 29, 33}) {
+    Rng rng(++seed);
+    std::vector<float> a = random_vec(static_cast<size_t>(m * k), rng);
+    std::vector<float> b = random_vec(static_cast<size_t>(k * n), rng);
+    std::vector<float> c0 = random_vec(static_cast<size_t>(m * n), rng);
+    std::vector<float> bias = random_vec(static_cast<size_t>(m), rng);
+    const std::vector<float> panels = to_panels(b, k, n);
+    const PackedA packed(false, m, k, a.data(), k);
+    ASSERT_TRUE(packed.blocked(n));
+    for (bool trans_a : {false, true}) {
+      // trans_a reads the same A_op from its transpose.
+      std::vector<float> at(a.size());
+      for (int64_t i = 0; i < m; ++i) {
+        for (int64_t p = 0; p < k; ++p) {
+          at[static_cast<size_t>(p * m + i)] = a[static_cast<size_t>(i * k + p)];
+        }
+      }
+      for (float beta : {0.0f, 1.0f}) {
+        std::vector<float> full = c0;
+        if (trans_a) {
+          gemm(true, false, m, n, k, at.data(), m, b.data(), n, beta,
+               full.data(), n);
+        } else {
+          gemm(false, false, m, n, k, a.data(), k, b.data(), n, beta,
+               full.data(), n);
+        }
+        std::vector<float> run = c0;
+        packed.run(n, b.data(), n, beta, run.data(), n);
+        for (int64_t i = 0; i < m; ++i) {
+          std::vector<float> row(c0.begin() + i * n, c0.begin() + (i + 1) * n);
+          if (trans_a) {
+            gemm(true, false, 1, n, k, at.data() + i, m, b.data(), n, beta,
+                 row.data(), n);
+          } else {
+            gemm(false, false, 1, n, k, a.data() + i * k, k, b.data(), n,
+                 beta, row.data(), n);
+          }
+          for (int64_t j = 0; j < n; ++j) {
+            const size_t ij = static_cast<size_t>(i * n + j);
+            ASSERT_EQ(float_bits(full[ij]), float_bits(row[static_cast<size_t>(j)]))
+                << "gemm m " << m << " trans_a " << trans_a << " beta "
+                << beta << " row " << i << " col " << j;
+            ASSERT_EQ(float_bits(run[ij]), float_bits(row[static_cast<size_t>(j)]))
+                << "PackedA::run m " << m << " beta " << beta << " row " << i
+                << " col " << j;
+          }
+        }
+      }
+    }
+    for (bool with_bias : {false, true}) {
+      const float* bp = with_bias ? bias.data() : nullptr;
+      std::vector<float> full(static_cast<size_t>(m * n), -3.0f);
+      packed.run_panels(n, panels.data(), bp, full.data(), n);
+      for (int64_t i = 0; i < m; ++i) {
+        const PackedA one(false, 1, k, a.data() + i * k, k);
+        ASSERT_TRUE(one.blocked(n));
+        std::vector<float> row(static_cast<size_t>(n), -3.0f);
+        one.run_panels(n, panels.data(), bp ? bp + i : nullptr, row.data(), n);
+        for (int64_t j = 0; j < n; ++j) {
+          ASSERT_EQ(float_bits(full[static_cast<size_t>(i * n + j)]),
+                    float_bits(row[static_cast<size_t>(j)]))
+              << "run_panels m " << m << " bias " << with_bias << " row " << i
+              << " col " << j;
+        }
+      }
+    }
+  }
 }
 
 TEST(Gemm, NaiveEscapeHatchMatchesBlocked) {

@@ -19,9 +19,9 @@
 //   * Replica-sharded serving works with per-replica plans (this suite runs
 //     under the `concurrency` CTest label; a TSan build exercises it).
 //   * The vector kernels keep their contracts: the exp under SiLU/sigmoid
-//     is within 1 ulp of std::exp and position-independent, and the
-//     panel-packed conv is bit-exact against im2col + gemm + bias, inline
-//     and on a 3-thread pool.
+//     and the tanh are within 1 ulp of std::exp / std::tanh and
+//     position-independent, and the panel-packed conv is bit-exact against
+//     im2col + gemm + bias, inline and on a 3-thread pool.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -365,6 +365,88 @@ TEST(PlanKernelTest, SiluGivesSameBitsAtEveryPosition) {
   }
 }
 
+TEST(PlanKernelTest, VectorTanhWithinOneUlpOfStdTanh) {
+  // Every 257th float of [-20, 20] (both ends included); tanh keeps the
+  // sign, so the ulp distance is the distance between bit patterns. The
+  // vector tanh is held to 1 ulp of the double-precision std::tanh rounded
+  // to float, and to 2 ulps of the float std::tanh the eager op calls,
+  // whose own error bound is 2 ulps (glibc's tanhf, e.g. at x = 0.0305258).
+  std::vector<float> xs;
+  for (uint32_t b = 0; b <= float_bits(20.0f); b += 257) {
+    xs.push_back(bits_float(b));
+    xs.push_back(-bits_float(b));
+  }
+  xs.push_back(20.0f);
+  xs.push_back(-20.0f);
+  std::vector<float> got(xs.size());
+  nn::plan::k_tanh(xs.data(), got.data(), xs.size());
+  auto ulps = [](float a, float b) {
+    const uint32_t ab = float_bits(a), bb = float_bits(b);
+    return ab > bb ? ab - bb : bb - ab;
+  };
+  size_t off_by_one = 0;
+  for (size_t i = 0; i < xs.size(); ++i) {
+    const float want =
+        static_cast<float>(std::tanh(static_cast<double>(xs[i])));
+    ASSERT_LE(ulps(got[i], want), 1u)
+        << "x = " << xs[i] << " got " << got[i] << " want " << want;
+    ASSERT_LE(ulps(got[i], std::tanh(xs[i])), 2u)
+        << "x = " << xs[i] << " got " << got[i] << " std::tanh "
+        << std::tanh(xs[i]);
+    off_by_one += ulps(got[i], want);
+  }
+  // Rounded once from double, the result is almost always the correctly
+  // rounded one.
+  EXPECT_LT(off_by_one, xs.size() / 100);
+}
+
+TEST(PlanKernelTest, VectorTanhSpecialValues) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float tiny = std::numeric_limits<float>::denorm_min() * 1000.0f;
+  const std::vector<float> xs = {nan,   inf,    -inf,  0.0f,   -0.0f, 9.5f,
+                                 -9.5f, 1e30f, -1e30f, 1e-20f, tiny,  -tiny};
+  std::vector<float> got(xs.size());
+  nn::plan::k_tanh(xs.data(), got.data(), xs.size());
+  EXPECT_TRUE(std::isnan(got[0]));
+  EXPECT_EQ(got[1], 1.0f);
+  EXPECT_EQ(got[2], -1.0f);
+  EXPECT_EQ(float_bits(got[3]), float_bits(0.0f));
+  EXPECT_EQ(float_bits(got[4]), float_bits(-0.0f));
+  // Saturation: past ~9.01 tanh rounds to +-1 in float.
+  EXPECT_EQ(got[5], 1.0f);
+  EXPECT_EQ(got[6], -1.0f);
+  EXPECT_EQ(got[7], 1.0f);
+  EXPECT_EQ(got[8], -1.0f);
+  // Near zero tanh(x) rounds to x, subnormals included.
+  for (size_t i = 9; i < xs.size(); ++i) {
+    EXPECT_EQ(float_bits(got[i]), float_bits(xs[i])) << "x = " << xs[i];
+  }
+}
+
+TEST(PlanKernelTest, TanhGivesSameBitsAtEveryPosition) {
+  const std::vector<float> values = {-12.0f, -3.0f, -0.7f, -1e-5f, 0.0f,
+                                     1e-3f,  0.5f,  2.25f, 8.0f,   30.0f};
+  for (float v : values) {
+    float want = 0;
+    nn::plan::k_tanh(&v, &want, 1);
+    for (size_t n = 1; n <= 40; ++n) {
+      for (size_t pos = 0; pos < n; ++pos) {
+        std::vector<float> in(n);
+        for (size_t i = 0; i < n; ++i) in[i] = 0.37f * static_cast<float>(i) - 5.0f;
+        in[pos] = v;
+        std::vector<float> out(n);
+        nn::plan::k_tanh(in.data(), out.data(), n);
+        nn::plan::apply_post_inplace(nn::plan::PostOp::kTanh, in.data(), n);
+        ASSERT_EQ(float_bits(out[pos]), float_bits(want))
+            << "v " << v << " n " << n << " pos " << pos;
+        ASSERT_EQ(float_bits(in[pos]), float_bits(want))
+            << "epilogue, v " << v << " n " << n << " pos " << pos;
+      }
+    }
+  }
+}
+
 struct ConvCase {
   int n, c, f, hw, k, stride, pad;
 };
@@ -424,11 +506,13 @@ std::vector<ConvCase> conv_cases() {
   // Every (c, f, spatial) triple, with kernel size, stride, padding and
   // batch cycling through their values so each pairs with all shapes.
   // c = 96 at k = 3 gives four K-blocks (kdim 864), c = 16 at k = 3 one
-  // (144); spatial 5, 18 and 33 leave a partial 16-column panel.
+  // (144); spatial 5, 18 and 33 leave a partial 16-column panel. f runs
+  // every micro-kernel tile height: 3, 4, 8, 12 and 16 rows exactly, 17
+  // a full tile plus a one-row tail.
   std::vector<ConvCase> cases;
   int i = 0;
   for (int c : {3, 16, 96}) {
-    for (int f : {3, 4, 32, 64}) {
+    for (int f : {3, 4, 8, 12, 16, 17, 32, 64}) {
       for (int hw : {5, 8, 16, 18, 33}) {
         const int k = i % 4 < 3 ? 3 : 1;
         const int stride = 1 + (i / 2) % 2;
