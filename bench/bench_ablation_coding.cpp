@@ -12,7 +12,7 @@
 //
 // With --out <path> (or DCDIFF_CODING_JSON) the per-image bpp_huffman /
 // bpp_cm numbers are written as a JSON report with build provenance;
-// scripts/bench_compare.py --coding diffs two such reports.
+// scripts/bench_compare.py diffs two such reports.
 #include <cstring>
 #include <fstream>
 

@@ -2,8 +2,8 @@
 // figure). Each harness prints the same rows/series the paper reports, and —
 // when DCDIFF_BENCH_JSON is set — also writes a machine-readable JSON report
 // with per-method per-image latency + quality plus a snapshot of the obs
-// metrics registry (per-stage latency percentiles). That report is the
-// regression baseline future perf PRs compare against.
+// metrics registry (per-stage latency percentiles). Serving performance is
+// measured by rxbench (BENCHMARK.json), not by these reports.
 //
 // Runtime knobs (environment variables):
 //   DCDIFF_BENCH_N      images per dataset (default: dataset_default_count)

@@ -3,9 +3,8 @@
 # DCDIFF_GEMM_NAIVE=1 (reference GEMM loop), then with the blocked kernel --
 # writing a DCDIFF_BENCH_JSON report for each. Validates that both reports
 # exist, parse as JSON, and carry a positive receiver-seconds record plus the
-# nn.workspace metrics gauge. The JSONs land in WORK_DIR as
-# BENCH_pr3_naive.json / BENCH_pr3.json so perf regressions can be diffed
-# offline; the smoke itself only asserts structure, not a speedup ratio
+# nn.workspace metrics gauge. The JSONs land in WORK_DIR as naive.json /
+# blocked.json; the smoke only asserts structure, not a speedup ratio
 # (tiny-model times are noise-dominated on loaded CI hosts).
 #
 # Invoked as:
@@ -78,10 +77,10 @@ endfunction()
 
 # Naive first: its (cold) run also trains/caches the tiny model, so the
 # blocked-path run below measures inference only.
-run_quickstart("${WORK_DIR}/BENCH_pr3_naive.json" 1)
-check_report("${WORK_DIR}/BENCH_pr3_naive.json" FALSE)
+run_quickstart("${WORK_DIR}/naive.json" 1)
+check_report("${WORK_DIR}/naive.json" FALSE)
 
-run_quickstart("${WORK_DIR}/BENCH_pr3.json" 0)
-check_report("${WORK_DIR}/BENCH_pr3.json" TRUE)
+run_quickstart("${WORK_DIR}/blocked.json" 0)
+check_report("${WORK_DIR}/blocked.json" TRUE)
 
-message(STATUS "perf smoke OK: ${WORK_DIR}/BENCH_pr3.json")
+message(STATUS "perf smoke OK: ${WORK_DIR}/blocked.json")

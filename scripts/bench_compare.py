@@ -1,54 +1,24 @@
 #!/usr/bin/env python3
-"""Compare two BENCH_*.json reports and fail on regressions.
+"""Compare two bench_ablation_coding reports and fail on a bpp_cm regression.
 
 Usage:
-    bench_compare.py [options] BASELINE.json CANDIDATE.json
-    bench_compare.py [options] --bench PATH/TO/bench_serve BASELINE.json
-    bench_compare.py --coding [options] BASELINE.json CANDIDATE.json
-    bench_compare.py --coding [options] --bench PATH/TO/bench_ablation_coding \\
-        BASELINE.json
+    bench_compare.py BASELINE.json CANDIDATE.json
+    bench_compare.py --bench PATH/TO/bench_ablation_coding BASELINE.json
 
 With --bench, the candidate report is produced by running the bench binary
-into a temporary file first (this is how the optional `bench_guard` and
-`coding_guard` CTests use it).
+into a temporary file first (this is how the `coding_guard` CTest uses it).
 
-Default mode compares bench_serve reports: sweep points are matched by worker
-count. A point regresses when the candidate's images_per_sec drops, or its
-p99_e2e_ms rises, by more than --max-regression-pct relative to the baseline.
-p99 is only compared when both reports carry it: reports written before the
-provenance/p99 schema (e.g. the checked-in BENCH_pr5.json) lack the field and
-are tolerated.
-
---plan compares bench_serve --plan reports (compiled plan vs eager tape):
-sweep points are matched by (mode, path). A point regresses when the
-candidate's images_per_sec drops by more than --max-regression-pct relative
-to the baseline; the planned-vs-eager serial speedup of both reports is
-printed, and the candidate failing its own >= 1.3x win condition is a
-regression regardless of the baseline.
-
---anytime compares bench_serve --anytime reports (deadline-degraded
-serving): sweep points are matched by deadline_ms. A point regresses when
-either per-tier p99 (p99_latency_tier_ms / p99_quality_tier_ms) rises by
-more than --max-regression-pct relative to the baseline; degraded_share is
-printed for context (it is a policy outcome, not a regression axis). The
-candidate failing its own enforced win condition — every request answered
-with an image, no kDeadlineExceeded — is a regression regardless of the
-baseline.
-
---coding compares bench_ablation_coding reports: records are matched by
-(dataset, image). A record regresses when the candidate's bpp_cm rises by
-more than --max-regression-pct relative to the baseline — the context-mixing
-coder must not quietly lose compression ground. bpp_huffman comes from fixed
-Annex-K tables, so any change there means the transform/eval inputs moved and
-the comparison is skipped as not comparable. Coding bpp is deterministic, so
-unlike serve throughput it compares fine across machines; comparability only
-needs the same eval_size.
+Records are matched by (dataset, image). A record regresses when the
+candidate's bpp_cm rises by more than MAX_REGRESSION_PCT relative to the
+baseline — the context-mixing coder must not quietly lose compression
+ground. bpp_huffman comes from fixed Annex-K tables, so any change there
+means the transform/eval inputs moved and the comparison is skipped as not
+comparable. Coding bpp is deterministic, so it compares fine across
+machines; comparability only needs the same eval_size.
 
 Exit codes: 0 = no regression, 1 = regression (or malformed input),
-77 = skipped because the reports are not comparable (different host_cores
-for serve — throughput numbers from different machines say nothing about a
-code change — or different eval_size / huffman baseline for coding; CTest
-maps 77 to SKIP via SKIP_RETURN_CODE).
+77 = skipped because the reports are not comparable (different eval_size
+or Huffman baseline; CTest maps 77 to SKIP via SKIP_RETURN_CODE).
 """
 
 import argparse
@@ -62,32 +32,28 @@ EXIT_OK = 0
 EXIT_REGRESSION = 1
 EXIT_SKIP = 77
 
+MAX_REGRESSION_PCT = 2.0
 
-def load_report(path, bench="serve_workers", body="sweep"):
+
+def load_report(path):
     try:
         with open(path, "r", encoding="utf-8") as f:
             report = json.load(f)
     except (OSError, ValueError) as e:
         print(f"bench_compare: cannot read {path}: {e}", file=sys.stderr)
         sys.exit(EXIT_REGRESSION)
-    if report.get("bench") != bench or body not in report:
-        print(f"bench_compare: {path} is not a {bench} report",
+    if report.get("bench") != "ablation_coding" or "records" not in report:
+        print(f"bench_compare: {path} is not an ablation_coding report",
               file=sys.stderr)
         sys.exit(EXIT_REGRESSION)
     return report
 
 
 def provenance_line(name, report):
-    if "host_cores" in report:
-        scope = f"host_cores={report.get('host_cores')}"
-    else:
-        scope = f"eval_size={report.get('eval_size')}"
-    prov = report.get("provenance")
-    if not prov:
-        return f"  {name}: {scope} (no provenance; pre-schema report)"
+    prov = report.get("provenance") or {}
     env = prov.get("env") or {}
     env_note = f", {len(env)} DCDIFF_* env override(s)" if env else ""
-    return (f"  {name}: {scope} "
+    return (f"  {name}: eval_size={report.get('eval_size')} "
             f"git_sha={prov.get('git_sha')} build_type={prov.get('build_type')}"
             f"{env_note}")
 
@@ -98,156 +64,14 @@ def pct_change(base, cand):
     return (cand - base) / base * 100.0
 
 
-def compare(baseline, candidate, max_pct):
-    base_points = {p["workers"]: p for p in baseline["sweep"]}
-    cand_points = {p["workers"]: p for p in candidate["sweep"]}
-    shared = sorted(set(base_points) & set(cand_points))
-    if not shared:
-        print("bench_compare: no common worker counts between the sweeps",
+def compare(baseline, candidate):
+    if baseline.get("eval_size") != candidate.get("eval_size"):
+        print(f"bench_compare: SKIP — eval_size differs "
+              f"({baseline.get('eval_size')} vs "
+              f"{candidate.get('eval_size')}); bpp not comparable",
               file=sys.stderr)
-        return EXIT_REGRESSION
-
-    failures = []
-    print(f"{'workers':>7} {'metric':>14} {'baseline':>10} {'candidate':>10} "
-          f"{'change':>8}")
-    for w in shared:
-        b, c = base_points[w], cand_points[w]
-
-        ips_b, ips_c = b.get("images_per_sec"), c.get("images_per_sec")
-        if ips_b is not None and ips_c is not None:
-            change = pct_change(ips_b, ips_c)
-            flag = ""
-            if change < -max_pct:
-                flag = "  REGRESSION"
-                failures.append(
-                    f"workers={w}: images_per_sec {ips_b:.3f} -> {ips_c:.3f} "
-                    f"({change:+.1f}%, limit -{max_pct:.1f}%)")
-            print(f"{w:>7} {'images_per_sec':>14} {ips_b:>10.3f} "
-                  f"{ips_c:>10.3f} {change:>+7.1f}%{flag}")
-
-        p99_b, p99_c = b.get("p99_e2e_ms"), c.get("p99_e2e_ms")
-        if p99_b is None or p99_c is None:
-            which = "baseline" if p99_b is None else "candidate"
-            print(f"{w:>7} {'p99_e2e_ms':>14} {'(skipped: no p99 in ' + which + ' report)':>30}")
-            continue
-        change = pct_change(p99_b, p99_c)
-        flag = ""
-        if change > max_pct:
-            flag = "  REGRESSION"
-            failures.append(
-                f"workers={w}: p99_e2e_ms {p99_b:.3f} -> {p99_c:.3f} "
-                f"({change:+.1f}%, limit +{max_pct:.1f}%)")
-        print(f"{w:>7} {'p99_e2e_ms':>14} {p99_b:>10.3f} {p99_c:>10.3f} "
-              f"{change:>+7.1f}%{flag}")
-
-    if failures:
-        print("\nbench_compare: FAIL", file=sys.stderr)
-        for f in failures:
-            print(f"  {f}", file=sys.stderr)
-        return EXIT_REGRESSION
-    print(f"\nbench_compare: OK ({len(shared)} point(s) within "
-          f"{max_pct:.1f}%)")
-    return EXIT_OK
-
-
-def compare_plan(baseline, candidate, max_pct):
-    base_points = {(p["mode"], p["path"]): p for p in baseline["sweep"]}
-    cand_points = {(p["mode"], p["path"]): p for p in candidate["sweep"]}
-    shared = sorted(set(base_points) & set(cand_points))
-    if not shared:
-        print("bench_compare: no common (mode, path) points between sweeps",
-              file=sys.stderr)
-        return EXIT_REGRESSION
-
-    failures = []
-    print(f"{'mode':>8} {'path':>7} {'metric':>14} {'baseline':>10} "
-          f"{'candidate':>10} {'change':>8}")
-    for key in shared:
-        b, c = base_points[key], cand_points[key]
-        change = pct_change(b["images_per_sec"], c["images_per_sec"])
-        flag = ""
-        if change < -max_pct:
-            flag = "  REGRESSION"
-            failures.append(
-                f"mode={key[0]} path={key[1]}: images_per_sec "
-                f"{b['images_per_sec']:.3f} -> {c['images_per_sec']:.3f} "
-                f"({change:+.1f}%, limit -{max_pct:.1f}%)")
-        print(f"{key[0]:>8} {key[1]:>7} {'images_per_sec':>14} "
-              f"{b['images_per_sec']:>10.3f} {c['images_per_sec']:>10.3f} "
-              f"{change:>+7.1f}%{flag}")
-
-    sb = (baseline.get("speedup") or {}).get("serial")
-    sc = (candidate.get("speedup") or {}).get("serial")
-    if sb is not None and sc is not None:
-        print(f"\nplanned-vs-eager serial speedup: baseline {sb:.2f}x, "
-              f"candidate {sc:.2f}x")
-    win = candidate.get("win_condition") or {}
-    if win.get("enforced") and not win.get("met"):
-        failures.append(
-            f"candidate misses its own win condition "
-            f"(required_speedup={win.get('required_speedup')}, "
-            f"serial speedup={sc})")
-
-    if failures:
-        print("\nbench_compare: FAIL", file=sys.stderr)
-        for f in failures:
-            print(f"  {f}", file=sys.stderr)
-        return EXIT_REGRESSION
-    print(f"\nbench_compare: OK ({len(shared)} point(s) within "
-          f"{max_pct:.1f}%)")
-    return EXIT_OK
-
-
-def compare_anytime(baseline, candidate, max_pct):
-    base_points = {p["deadline_ms"]: p for p in baseline["sweep"]}
-    cand_points = {p["deadline_ms"]: p for p in candidate["sweep"]}
-    shared = sorted(set(base_points) & set(cand_points))
-    if not shared:
-        # Deadlines are calibrated from a warm request, so a host-speed
-        # change can shift every sweep point; that is a comparability gap,
-        # not a regression.
-        print("bench_compare: SKIP — no common deadline_ms points between "
-              "the sweeps (calibrated deadlines moved)", file=sys.stderr)
         return EXIT_SKIP
 
-    failures = []
-    print(f"{'deadline_ms':>11} {'metric':>20} {'baseline':>10} "
-          f"{'candidate':>10} {'change':>8}")
-    for d in shared:
-        b, c = base_points[d], cand_points[d]
-        for metric in ("p99_latency_tier_ms", "p99_quality_tier_ms"):
-            mb, mc = b.get(metric), c.get(metric)
-            if mb is None or mc is None:
-                continue
-            change = pct_change(mb, mc)
-            flag = ""
-            if change > max_pct:
-                flag = "  REGRESSION"
-                failures.append(
-                    f"deadline_ms={d}: {metric} {mb:.3f} -> {mc:.3f} "
-                    f"({change:+.1f}%, limit +{max_pct:.1f}%)")
-            print(f"{d:>11} {metric:>20} {mb:>10.3f} {mc:>10.3f} "
-                  f"{change:>+7.1f}%{flag}")
-        print(f"{d:>11} {'degraded_share':>20} "
-              f"{b.get('degraded_share', 0.0):>10.2f} "
-              f"{c.get('degraded_share', 0.0):>10.2f}")
-
-    win = candidate.get("win_condition") or {}
-    if win.get("enforced") and not win.get("met"):
-        failures.append(
-            f"candidate misses its own win condition: {win.get('required')}")
-
-    if failures:
-        print("\nbench_compare: FAIL", file=sys.stderr)
-        for f in failures:
-            print(f"  {f}", file=sys.stderr)
-        return EXIT_REGRESSION
-    print(f"\nbench_compare: OK ({len(shared)} point(s) within "
-          f"{max_pct:.1f}%)")
-    return EXIT_OK
-
-
-def compare_coding(baseline, candidate, max_pct):
     base_recs = {(r["dataset"], r["image"]): r for r in baseline["records"]}
     cand_recs = {(r["dataset"], r["image"]): r for r in candidate["records"]}
     shared = sorted(set(base_recs) & set(cand_recs))
@@ -275,11 +99,12 @@ def compare_coding(baseline, candidate, max_pct):
         b, c = base_recs[key], cand_recs[key]
         change = pct_change(b["bpp_cm"], c["bpp_cm"])
         flag = ""
-        if change > max_pct:
+        if change > MAX_REGRESSION_PCT:
             flag = "  REGRESSION"
             failures.append(
                 f"{key[0]} image {key[1]}: bpp_cm {b['bpp_cm']:.4f} -> "
-                f"{c['bpp_cm']:.4f} ({change:+.1f}%, limit +{max_pct:.1f}%)")
+                f"{c['bpp_cm']:.4f} ({change:+.1f}%, "
+                f"limit +{MAX_REGRESSION_PCT:.1f}%)")
         print(f"{key[0]:>10} {key[1]:>4} {b['bpp_huffman']:>12.4f} "
               f"{b['bpp_cm']:>9.4f} {c['bpp_cm']:>9.4f} "
               f"{change:>+7.1f}%{flag}")
@@ -296,95 +121,47 @@ def compare_coding(baseline, candidate, max_pct):
             print(f"  {f}", file=sys.stderr)
         return EXIT_REGRESSION
     print(f"\nbench_compare: OK ({len(shared)} record(s) within "
-          f"{max_pct:.1f}%)")
+          f"{MAX_REGRESSION_PCT:.1f}%)")
     return EXIT_OK
 
 
 def main():
     ap = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("baseline", help="baseline BENCH_*.json")
+    ap.add_argument("baseline", help="baseline ablation_coding report")
     ap.add_argument("candidate", nargs="?",
-                    help="candidate BENCH_*.json (omit with --bench)")
+                    help="candidate ablation_coding report (omit with --bench)")
     ap.add_argument("--bench", metavar="BIN",
-                    help="run this bench binary to produce the candidate")
-    ap.add_argument("--coding", action="store_true",
-                    help="compare bench_ablation_coding reports (bpp_cm) "
-                         "instead of bench_serve sweeps")
-    ap.add_argument("--plan", action="store_true",
-                    help="compare bench_serve --plan reports (compiled plan "
-                         "vs eager tape) instead of worker sweeps")
-    ap.add_argument("--anytime", action="store_true",
-                    help="compare bench_serve --anytime reports (deadline "
-                         "sweep: per-tier p99 + degraded_share) instead of "
-                         "worker sweeps")
-    ap.add_argument("--max-regression-pct", type=float, default=15.0,
-                    help="allowed regression in images_per_sec (drop), "
-                         "p99_e2e_ms (rise), or with --coding bpp_cm (rise), "
-                         "percent (default 15; coding_guard passes 2)")
+                    help="run this bench_ablation_coding binary to produce "
+                         "the candidate")
     args = ap.parse_args()
     if bool(args.candidate) == bool(args.bench):
         ap.error("pass exactly one of CANDIDATE or --bench")
-    if sum([args.coding, args.plan, args.anytime]) > 1:
-        ap.error("--coding, --plan, and --anytime are mutually exclusive")
 
-    if args.coding:
-        kind = ("ablation_coding", "records")
-    elif args.plan:
-        kind = ("plan_modes", "sweep")
-    elif args.anytime:
-        kind = ("serve_anytime", "sweep")
-    else:
-        kind = ("serve_workers", "sweep")
-    baseline = load_report(args.baseline, *kind)
+    baseline = load_report(args.baseline)
 
     tmp = None
     try:
         if args.bench:
             fd, tmp = tempfile.mkstemp(prefix="bench_compare_", suffix=".json")
             os.close(fd)
-            mode = (["--plan"] if args.plan else
-                    ["--anytime"] if args.anytime else [])
-            cmd = [args.bench] + mode + ["--out", tmp]
+            cmd = [args.bench, "--out", tmp]
             print(f"bench_compare: running {' '.join(cmd)}")
             proc = subprocess.run(cmd)
-            # The bench binaries exit non-zero when their own win-condition
-            # gates fail; the comparison below is this script's verdict, so
-            # only a missing report is fatal here.
+            # The bench exits non-zero when its own win-condition gate
+            # fails; the comparison below is this script's verdict, so only
+            # a missing report is fatal here.
             if not os.path.getsize(tmp):
                 print(f"bench_compare: {args.bench} wrote no report "
                       f"(exit {proc.returncode})", file=sys.stderr)
                 return EXIT_REGRESSION
-            candidate = load_report(tmp, *kind)
+            candidate = load_report(tmp)
         else:
-            candidate = load_report(args.candidate, *kind)
+            candidate = load_report(args.candidate)
 
         print(provenance_line("baseline ", baseline))
         print(provenance_line("candidate", candidate))
-
-        if args.coding:
-            if baseline.get("eval_size") != candidate.get("eval_size"):
-                print(f"bench_compare: SKIP — eval_size differs "
-                      f"({baseline.get('eval_size')} vs "
-                      f"{candidate.get('eval_size')}); bpp not comparable",
-                      file=sys.stderr)
-                return EXIT_SKIP
-            return compare_coding(baseline, candidate,
-                                  args.max_regression_pct)
-
-        if baseline.get("host_cores") != candidate.get("host_cores"):
-            print(f"bench_compare: SKIP — host_cores differ "
-                  f"({baseline.get('host_cores')} vs "
-                  f"{candidate.get('host_cores')}); throughput is not "
-                  f"comparable across machines", file=sys.stderr)
-            return EXIT_SKIP
-
-        if args.plan:
-            return compare_plan(baseline, candidate, args.max_regression_pct)
-        if args.anytime:
-            return compare_anytime(baseline, candidate,
-                                   args.max_regression_pct)
-        return compare(baseline, candidate, args.max_regression_pct)
+        return compare(baseline, candidate)
     finally:
         if tmp:
             os.unlink(tmp)

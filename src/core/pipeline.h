@@ -36,8 +36,8 @@ class ReconPlanner;  // recon_plan.h; held by pointer only
 // Planned-execution switch. Every reconstruction runs on compiled per-step
 // plans (see core/recon_plan.h and nn/plan/) by default. set_plan_enabled(0)
 // turns them off process-wide, leaving the eager tape — the oracle that
-// tests and `bench_serve --plan` compare planned output against; 1 or -1
-// restores the default. Thread-safe.
+// tests compare planned output against; 1 or -1 restores the default.
+// Thread-safe.
 bool plan_enabled();
 void set_plan_enabled(int v);
 

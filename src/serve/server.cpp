@@ -61,15 +61,6 @@ ServerConfig ServerConfig::from_env() {
   return cfg;
 }
 
-core::ReconstructOptions ServerConfig::latency_recon(
-    const core::DCDiffConfig& cfg) {
-  core::ReconstructOptions o;
-  o.ensemble = 1;
-  o.ddim_steps = std::max(1, cfg.ddim_steps / 2);
-  o.use_fmpp = true;
-  return o;
-}
-
 ResultStream Session::submit(const ReconstructRequest& req) {
   return ResultStream(server_->submit(id_, req));
 }

@@ -150,15 +150,6 @@ struct ServerConfig {
   // DCDIFF_FLIGHT_RECORDER_FILE / DCDIFF_SERVE_SLO_P99_MS /
   // DCDIFF_SERVE_SLO_MISS_PCT over the defaults.
   static ServerConfig from_env();
-
-  // Reduced-latency inference preset for deadline-bound serving: a single
-  // ensemble member and half the configured DDIM steps, FMPP left on. On a
-  // single core equal-work batching is roughly throughput-neutral (per-op
-  // overhead is tiny relative to the GEMMs), so this preset is where the
-  // serving engine's images/sec headroom comes from; on the quickstart-fast
-  // model it costs ~0.02 dB PSNR for ~1.7x throughput at max_batch=4
-  // (bench_serve measures both sides of that trade).
-  static core::ReconstructOptions latency_recon(const core::DCDiffConfig& cfg);
 };
 
 class ReceiverServer;

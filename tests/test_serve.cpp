@@ -321,13 +321,5 @@ TEST_F(ServeTest, ShutdownDrainsQueuedRequests) {
   EXPECT_EQ(server.stats().completed, 4u);
 }
 
-TEST_F(ServeTest, LatencyPresetHalvesStepsKeepsFmpp) {
-  const core::ReconstructOptions o =
-      ServerConfig::latency_recon(model_->config());
-  EXPECT_EQ(o.ensemble, 1);
-  EXPECT_EQ(o.ddim_steps, model_->config().ddim_steps / 2);
-  EXPECT_TRUE(o.use_fmpp);
-}
-
 }  // namespace
 }  // namespace dcdiff::serve
